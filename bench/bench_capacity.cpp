@@ -11,9 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -130,16 +127,6 @@ void BM_ShardedCallMix(benchmark::State& state) {
   params.workers = workers;
   auto s = build_vgprs(params);
   s->net.trace().set_mode(TraceMode::kDisabled);
-  const bool dbg = std::getenv("VGPRS_SHARD_DEBUG") != nullptr;
-  if (dbg) s->net.enable_shard_stats(true);
-  auto shard_agg = [&] {
-    std::map<std::string, double> agg;
-    for (const auto& [k, v] : s->net.metrics().counters()) {
-      if (k.rfind("shard/", 0) != 0) continue;
-      agg[k.substr(k.rfind('/') + 1)] += static_cast<double>(v);
-    }
-    return agg;
-  };
   // Power on in waves so the per-BSC SDCCH pool (8192) never saturates.
   const std::size_t wave = 16u * 4096u;
   for (std::size_t base = 0; base < s->ms.size(); base += wave) {
@@ -159,7 +146,6 @@ void BM_ShardedCallMix(benchmark::State& state) {
       std::min<std::size_t>(s->ms.size() / 2, million ? 256 : 2048);
   std::uint64_t delivered = 0;
   std::int64_t calls = 0;
-  const std::map<std::string, double> before_agg = shard_agg();
   for (auto _ : state) {
     const std::uint64_t before = s->net.stats().messages_delivered;
     for (std::size_t p = 0; p < pairs; ++p) {
@@ -178,16 +164,6 @@ void BM_ShardedCallMix(benchmark::State& state) {
   state.counters["calls/s"] = benchmark::Counter(
       static_cast<double>(calls), benchmark::Counter::kIsRate);
   state.SetLabel(std::to_string(s->net.num_shards()) + " shards");
-  if (dbg) {
-    std::map<std::string, double> agg = shard_agg();
-    std::string line = "[shard-debug]";
-    for (auto& [k, v] : agg) {
-      auto it = before_agg.find(k);
-      if (it != before_agg.end()) v -= it->second;
-      line += " " + k + "=" + std::to_string(static_cast<std::int64_t>(v));
-    }
-    fprintf(stderr, "%s\n", line.c_str());
-  }
 }
 BENCHMARK(BM_ShardedCallMix)
     ->Args({10000, 1})

@@ -203,7 +203,6 @@ struct TraceRec {
 
 struct RawSegment {
   std::string system;
-  std::uint32_t num_shards = 0;
   std::map<std::uint32_t, std::string> nodes;
   std::map<std::uint16_t, std::string> msg_names;
   std::vector<DecodedShard> shards;
@@ -213,7 +212,6 @@ struct RawSegment {
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, HistogramSummary>> hists;
   bool ended = false;
-  bool primary = false;
   std::uint64_t events = 0;
   std::int64_t sim_time_us = 0;
 };
@@ -292,7 +290,7 @@ Result<RawFile> parse_file(std::span<const std::uint8_t> file) {
         out.segments.emplace_back();
         seg = &out.segments.back();
         seg->system = r.str();
-        seg->num_shards = r.u32();
+        (void)r.u32();  // shard count; the kShardBegin records follow
         in_shard = false;
         break;
       }
@@ -460,12 +458,10 @@ Result<RawFile> parse_file(std::span<const std::uint8_t> file) {
           return fail(ErrorCode::kDecodeBadValue, kind_raw,
                       "kRunEnd outside a segment");
         }
-        const std::uint8_t primary = r.u8();
-        if (primary > 1) {
+        if (r.u8() != 1 && !r.failed()) {
           return fail(ErrorCode::kDecodeBadValue, kind_raw,
-                      "kRunEnd primary flag out of domain");
+                      "kRunEnd primary flag must be 1");
         }
-        seg->primary = primary != 0;
         seg->events = r.u64();
         seg->sim_time_us = static_cast<std::int64_t>(r.u64());
         seg->ended = true;
@@ -552,76 +548,12 @@ Result<TraceEntry> materialize(const TraceRec& rec, const RawSegment& seg) {
   return e;
 }
 
-/// Merges per-shard files into one logical segment list.  Segments align by
-/// index; exactly one file's segment must be primary.
-Result<std::vector<RawSegment>> merge_files(std::vector<RawFile>& files,
-                                            BtraceInfo& info) {
-  info = files.front().info;
-  for (const RawFile& f : files) {
-    if (f.info.scenario != info.scenario || f.info.seed != info.seed ||
-        f.info.iters != info.iters) {
-      return Error{ErrorCode::kDecodeBadValue,
-                   "per-shard capture files disagree on scenario/seed/iters"};
-    }
-    if (f.segments.size() != files.front().segments.size()) {
-      return Error{ErrorCode::kDecodeBadValue,
-                   "per-shard capture files have differing segment counts"};
-    }
-  }
-  std::vector<RawSegment> merged;
-  const std::size_t nsegs = files.front().segments.size();
-  for (std::size_t s = 0; s < nsegs; ++s) {
-    RawSegment out;
-    std::size_t primaries = 0;
-    for (RawFile& f : files) {
-      RawSegment& in = f.segments[s];
-      if (out.system.empty()) {
-        out.system = in.system;
-        out.num_shards = in.num_shards;
-      } else if (in.system != out.system) {
-        return Error{ErrorCode::kDecodeBadValue,
-                     "per-shard capture files disagree on segment system"};
-      }
-      for (auto& [id, name] : in.nodes) {
-        auto [it, inserted] = out.nodes.emplace(id, name);
-        if (!inserted && it->second != name) {
-          return Error{ErrorCode::kDecodeBadValue,
-                       "per-shard capture files disagree on a node name"};
-        }
-      }
-      out.shards.insert(out.shards.end(), in.shards.begin(), in.shards.end());
-      out.trace.insert(out.trace.end(), in.trace.begin(), in.trace.end());
-      if (in.primary) {
-        ++primaries;
-        out.span_ops = std::move(in.span_ops);
-        out.counters = std::move(in.counters);
-        out.gauges = std::move(in.gauges);
-        out.hists = std::move(in.hists);
-        out.events = in.events;
-        out.sim_time_us = in.sim_time_us;
-      }
-    }
-    if (primaries != 1) {
-      return Error{ErrorCode::kDecodeBadValue,
-                   "segment must have exactly one primary per-shard file"};
-    }
-    out.primary = true;
-    out.ended = true;
-    merged.push_back(std::move(out));
-  }
-  return merged;
-}
-
 Result<DecodedCapture> assemble(std::vector<RawSegment>& segments,
                                 const BtraceInfo& info, std::uint64_t records) {
   DecodedCapture out;
   out.info = info;
   out.records = records;
   for (RawSegment& seg : segments) {
-    if (!seg.primary) {
-      return Error{ErrorCode::kDecodeBadValue,
-                   "single-file segment is not marked primary"};
-    }
     if (out.runs.empty() || out.runs.back().system != seg.system) {
       out.runs.emplace_back();
       out.runs.back().system = seg.system;
@@ -686,27 +618,6 @@ Result<DecodedCapture> decode_capture(std::span<const std::uint8_t> file) {
   if (!parsed.ok()) return parsed.error();
   RawFile raw = std::move(parsed).value();
   return assemble(raw.segments, raw.info, raw.records);
-}
-
-Result<DecodedCapture> decode_capture_files(
-    std::span<const std::vector<std::uint8_t>> files) {
-  if (files.empty()) {
-    return Error{ErrorCode::kDecodeTruncated, "no capture files to decode"};
-  }
-  if (files.size() == 1) return decode_capture(files.front());
-  std::vector<RawFile> raws;
-  raws.reserve(files.size());
-  std::uint64_t records = 0;
-  for (const std::vector<std::uint8_t>& f : files) {
-    Result<RawFile> parsed = parse_file(f);
-    if (!parsed.ok()) return parsed.error();
-    records += parsed.value().records;
-    raws.push_back(std::move(parsed).value());
-  }
-  BtraceInfo info;
-  Result<std::vector<RawSegment>> merged = merge_files(raws, info);
-  if (!merged.ok()) return merged.error();
-  return assemble(merged.value(), info, records);
 }
 
 }  // namespace vgprs

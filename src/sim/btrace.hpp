@@ -26,7 +26,8 @@
 //       kTrace / kFault records     this shard's stream, dispatch order
 //     kSpanOpen/kSpanClose/kSpanAttr  global-order span operation log
 //     kMetricCounter/Gauge/Hist    final metric deltas for the segment
-//     kRunEnd                       primary u8, events u64, sim_time_us i64
+//     kRunEnd                       primary u8 (always 1), events u64,
+//                                   sim_time_us i64
 //
 // kTrace records carry the DispatchKey (at, sent_at, seq, sub) of the
 // dispatch that produced them plus NodeId endpoints and the message's wire
@@ -216,12 +217,5 @@ struct DecodedCapture {
 /// byte offset; decode never crashes on corrupt input.
 [[nodiscard]] Result<DecodedCapture> decode_capture(
     std::span<const std::uint8_t> file);
-
-/// Decodes a capture split across per-shard files (a directory capture).
-/// Every file must agree on kFileInfo and segment structure; exactly one
-/// file per segment is the primary (carries span/metric/run-summary
-/// records).  Shard trace streams from all files are merged by DispatchKey.
-[[nodiscard]] Result<DecodedCapture> decode_capture_files(
-    std::span<const std::vector<std::uint8_t>> files);
 
 }  // namespace vgprs

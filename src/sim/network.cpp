@@ -21,39 +21,31 @@ namespace {
 constexpr std::int64_t kNeverMicros = std::numeric_limits<std::int64_t>::max();
 constexpr SimTime kNever = SimTime::from_micros(kNeverMicros);
 
-// The ONE synchronization point per window of the sharded run loop (the
-// old protocol paid two global barriers per window: one separating event
-// processing from the mailbox drain, one around a serial advance that
-// re-heapified every inbox).  Sense-reversing barrier with a dynamic party
-// count: the last arriver runs `completion` (the window advance) before
-// releasing the others, so the release/acquire pair on gen_ publishes the
-// completion's plain writes to every worker.  The completion may call
-// set_parties() to fuse provably idle workers out of the next rendezvous
-// (window fusion) and to re-admit them — it runs while every other member
-// is blocked on gen_ and woken workers only re-arrive after their wake
-// flag is released, so the adjustment is race-free.  Windows are short
-// (tens of microseconds of work), so a bounded spin catches the common
-// release; past that the waiter parks on the futex — unbounded
-// yield-spinning on an oversubscribed or small-core host turns every
-// barrier into a scheduler fight.
+// The ONE synchronization point per window of the sharded run loop: a
+// sense-reversing barrier over a fixed party of every worker.  The last
+// arriver runs `completion` (the window advance) before releasing the
+// others, so the release/acquire pair on gen_ publishes the completion's
+// plain writes to every worker.  Windows are short (tens of microseconds
+// of work), so a bounded spin catches the common release; past that the
+// waiter parks on the futex — unbounded yield-spinning on an
+// oversubscribed or small-core host turns every barrier into a scheduler
+// fight.
 class WindowGate {
  public:
   explicit WindowGate(unsigned parties) : parties_(parties) {}
 
-  /// Returns true for the last arriver (which ran `completion`).
   template <typename F>
-  bool arrive_and_wait(F&& completion) {
+  void arrive_and_wait(F&& completion) {
     const unsigned gen = gen_.load(std::memory_order_acquire);
-    const unsigned arrived = arrived_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (arrived == parties_.load(std::memory_order_relaxed)) {
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
       completion();
       arrived_.store(0, std::memory_order_relaxed);
       gen_.store(gen + 1, std::memory_order_release);
       gen_.notify_all();
-      return true;
+      return;
     }
     for (int spin = 0; spin < 256; ++spin) {
-      if (gen_.load(std::memory_order_acquire) != gen) return false;
+      if (gen_.load(std::memory_order_acquire) != gen) return;
       std::this_thread::yield();
     }
     unsigned cur = gen_.load(std::memory_order_acquire);
@@ -61,33 +53,13 @@ class WindowGate {
       gen_.wait(cur, std::memory_order_acquire);
       cur = gen_.load(std::memory_order_acquire);
     }
-    return false;
-  }
-
-  /// Completion-context only: adjusts the membership for the next window.
-  void set_parties(unsigned parties) {
-    parties_.store(parties, std::memory_order_relaxed);
-  }
-  [[nodiscard]] unsigned parties() const {
-    return parties_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<unsigned> parties_;
+  const unsigned parties_;
   std::atomic<unsigned> arrived_{0};
   std::atomic<unsigned> gen_{0};
 };
-
-// A worker parked out of the rendezvous waits on its own line-padded flag
-// so wake notifications never collide with barrier traffic.
-struct alignas(64) ParkFlag {
-  std::atomic<std::uint32_t> v{0};
-};
-
-// Window-fusion safety valve: a worker may stay fused out of the
-// rendezvous only this many consecutive windows before the advance
-// re-admits it regardless (bounds how far its published view may trail).
-constexpr std::uint64_t kMaxFusedWindows = 64;
 
 // Node-arena slab size; a node object is a few hundred bytes, so one slab
 // holds hundreds of nodes and a 1M-MS topology needs a few thousand slabs.
@@ -172,7 +144,6 @@ void Network::connect(NodeId a, NodeId b, LinkProfile profile) {
   profile.label = intern_label(profile.label);
   if (const Adjacency* existing = find_link(a, b)) {
     link_profiles_[existing->link] = profile;
-    touch_seam_cache(a, b, existing->link, false);
     return;
   }
   auto index = static_cast<std::uint32_t>(link_profiles_.size());
@@ -186,7 +157,6 @@ void Network::connect(NodeId a, NodeId b, LinkProfile profile) {
   };
   sorted_insert(a, b, index);
   sorted_insert(b, a, index);
-  touch_seam_cache(a, b, index, true);
 }
 
 bool Network::linked(NodeId a, NodeId b) const {
@@ -214,7 +184,6 @@ void Network::set_link_profile(NodeId a, NodeId b, LinkProfile profile) {
   }
   profile.label = intern_label(profile.label);
   link_profiles_[adj->link] = profile;
-  touch_seam_cache(a, b, adj->link, false);
 }
 
 Node* Network::node(NodeId id) const {
@@ -292,7 +261,6 @@ void Network::set_shards(const std::vector<std::vector<NodeId>>& groups) {
   for (auto& sh : shards_) {
     sh->outbox = std::make_unique<OutboxRing[]>(shards_.size());
   }
-  seam_cache_built_ = false;  // built lazily by the first windowed run
 }
 
 void Network::set_workers(unsigned workers) {
@@ -324,19 +292,20 @@ std::vector<std::vector<NodeId>> Network::plan_shards(
     }
   }
 
-  // Pieces of the residual graph to pack into shards.  Weight proxies the
-  // shard's event rate by link count: every adjacency is a traffic source,
-  // and +1 keeps even a linkless node from packing as free.
-  struct Piece {
-    std::vector<std::uint32_t> members;  // node indices, ascending
+  // Connected components of the residual graph, packed whole into shards.
+  // Weight proxies the shard's event rate by link count: every adjacency is
+  // a traffic source, and +1 keeps even a linkless node from packing as
+  // free.
+  struct Group {
+    std::vector<std::uint32_t> members;  // node indices
     std::size_t weight = 0;
   };
-  std::vector<Piece> comps;
+  std::vector<Group> comps;
   std::vector<bool> seen(n, false);
   std::vector<std::uint32_t> stack;
   for (std::size_t i = 0; i < n; ++i) {
     if (seen[i] || is_core[i]) continue;
-    Piece c;
+    Group c;
     stack.push_back(static_cast<std::uint32_t>(i));
     seen[i] = true;
     while (!stack.empty()) {
@@ -357,55 +326,15 @@ std::vector<std::vector<NodeId>> Network::plan_shards(
   }
   if (comps.empty()) return plan;
 
-  const std::size_t bins_wanted = target_shards - 1;
-  std::size_t total = 0;
-  for (const Piece& c : comps) total += c.weight;
-  const std::size_t mean = std::max<std::size_t>(
-      1, (total + bins_wanted - 1) / bins_wanted);
-
-  // A component heavier than 1.5x the mean (one hot cell) would serialize
-  // every window if kept whole; carve it up by dealing its leaf nodes
-  // round-robin across ceil(weight/mean) pieces while the interior (the
-  // BSC/BTS spine) anchors piece 0.
-  std::vector<Piece> pieces;
-  for (Piece& c : comps) {
-    if (c.weight * 2 <= mean * 3 || c.members.size() < 2) {
-      pieces.push_back(std::move(c));
-      continue;
-    }
-    const std::size_t want =
-        std::min(bins_wanted, (c.weight + mean - 1) / mean);
-    if (want < 2) {
-      pieces.push_back(std::move(c));
-      continue;
-    }
-    std::vector<Piece> split(want);
-    std::size_t next_leaf_piece = 0;
-    for (const std::uint32_t v : c.members) {
-      const bool leaf = adjacency_[v].size() <= 1;
-      Piece& dst = leaf ? split[next_leaf_piece] : split[0];
-      if (leaf) next_leaf_piece = (next_leaf_piece + 1) % want;
-      dst.members.push_back(v);
-      dst.weight += adjacency_[v].size() + 1;
-    }
-    for (Piece& p : split) {
-      if (!p.members.empty()) pieces.push_back(std::move(p));
-    }
-  }
-
-  // LPT bin packing: heaviest piece first (ties toward the earliest-created
-  // node) into the lightest bin (ties toward the lowest bin) — greedy,
-  // deterministic, within 4/3 of optimal.
-  std::sort(pieces.begin(), pieces.end(), [](const Piece& a, const Piece& b) {
+  // LPT bin packing: heaviest component first (ties toward the
+  // earliest-created node) into the lightest bin (ties toward the lowest
+  // bin) — greedy, deterministic, within 4/3 of optimal.
+  std::sort(comps.begin(), comps.end(), [](const Group& a, const Group& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
     return a.members.front() < b.members.front();
   });
-  struct Bin {
-    std::vector<std::uint32_t> members;
-    std::size_t weight = 0;
-  };
-  std::vector<Bin> bins(std::min(bins_wanted, pieces.size()));
-  for (Piece& p : pieces) {
+  std::vector<Group> bins(std::min(target_shards - 1, comps.size()));
+  for (const Group& p : comps) {
     std::size_t lightest = 0;
     for (std::size_t b = 1; b < bins.size(); ++b) {
       if (bins[b].weight < bins[lightest].weight) lightest = b;
@@ -418,11 +347,11 @@ std::vector<std::vector<NodeId>> Network::plan_shards(
   // Shard order follows node-creation order (smallest member id): sequence
   // numbers pack the shard index in their high bits, so this is what keeps
   // sharded tie-breaks identical to the sequential engine's.
-  for (Bin& b : bins) std::sort(b.members.begin(), b.members.end());
-  std::sort(bins.begin(), bins.end(), [](const Bin& a, const Bin& b) {
+  for (Group& b : bins) std::sort(b.members.begin(), b.members.end());
+  std::sort(bins.begin(), bins.end(), [](const Group& a, const Group& b) {
     return a.members.front() < b.members.front();
   });
-  for (Bin& b : bins) {
+  for (const Group& b : bins) {
     std::vector<NodeId> group;
     group.reserve(b.members.size());
     for (const std::uint32_t v : b.members) group.emplace_back(v + 1);
@@ -438,73 +367,27 @@ std::vector<ShardPerfStats> Network::shard_perf() const {
   return out;
 }
 
-void Network::touch_seam_cache(NodeId a, NodeId b, std::uint32_t link,
-                               bool is_new) {
-  if (!seam_cache_built_ || shards_.size() == 1) return;
-  const std::uint32_t sa = shard_of(a);
-  const std::uint32_t sb = shard_of(b);
-  if (sa == sb) return;
-  if (is_new) {
-    const auto ia = a.value() - 1;
-    const auto ib = b.value() - 1;
-    shard_seams_[sa].push_back({link, ia, ib});
-    shard_seams_[sb].push_back({link, ia, ib});
-  }
-  shard_la_dirty_[sa] = 1;
-  shard_la_dirty_[sb] = 1;
-}
-
 void Network::compute_shard_lookaheads() {
   // Sentinel: a shard with no cross-shard links (an island) promises never
   // to disturb its peers, so it never constrains the window.
-  std::uint64_t scanned = 0;
-  auto recompute_shard = [&](std::uint32_t s) {
-    shard_la_us_[s] = kNeverMicros / 4;
-    for (const SeamLink& sl : shard_seams_[s]) {
-      ++scanned;
-      const std::int64_t us = link_profiles_[sl.link].latency.count_micros();
+  shard_la_us_.assign(shards_.size(), kNeverMicros / 4);
+  for (std::size_t i = 0; i < adjacency_.size(); ++i) {
+    const std::uint32_t sa = node_shard_[i];
+    for (const Adjacency& adj : adjacency_[i]) {
+      if (adj.peer.value() <= i + 1) continue;  // visit each link once
+      const std::uint32_t sb = shard_of(adj.peer);
+      if (sb == sa) continue;
+      const std::int64_t us = link_profiles_[adj.link].latency.count_micros();
       if (us <= 0) {
         throw std::logic_error(
-            "sharded engine: cross-shard link between '" +
-            nodes_[sl.a]->name() + "' and '" + nodes_[sl.b]->name() +
+            "sharded engine: cross-shard link between '" + nodes_[i]->name() +
+            "' and '" + nodes_[adj.peer.value() - 1]->name() +
             "' must have positive latency (it bounds the lookahead)");
       }
-      shard_la_us_[s] = std::min(shard_la_us_[s], us);
-    }
-  };
-  if (!seam_cache_built_) {
-    // One full adjacency scan per sharding, not per run: collect each
-    // shard's cross-shard link set, then derive the lookaheads from it.
-    // (The scan count is surfaced via seam_links_scanned(), not the metrics
-    // registry: sequential runs never scan, so a counter would break the
-    // sequential-vs-sharded snapshot equality the tests hold.)
-    shard_seams_.assign(shards_.size(), {});
-    for (std::size_t i = 0; i < adjacency_.size(); ++i) {
-      const std::uint32_t sa = node_shard_[i];
-      for (const Adjacency& adj : adjacency_[i]) {
-        if (adj.peer.value() <= i + 1) continue;  // visit each link once
-        ++scanned;
-        const std::uint32_t sb = shard_of(adj.peer);
-        if (sb == sa) continue;
-        const auto ib = adj.peer.value() - 1;
-        shard_seams_[sa].push_back({adj.link, static_cast<std::uint32_t>(i), ib});
-        shard_seams_[sb].push_back({adj.link, static_cast<std::uint32_t>(i), ib});
-      }
-    }
-    shard_la_us_.assign(shards_.size(), 0);
-    shard_la_dirty_.assign(shards_.size(), 0);
-    seam_cache_built_ = true;
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) recompute_shard(s);
-  } else {
-    // Retune path: only shards whose links changed since the last run.
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      if (shard_la_dirty_[s]) {
-        recompute_shard(s);
-        shard_la_dirty_[s] = 0;
-      }
+      shard_la_us_[sa] = std::min(shard_la_us_[sa], us);
+      shard_la_us_[sb] = std::min(shard_la_us_[sb], us);
     }
   }
-  seam_links_scanned_ += scanned;
 }
 
 // --- messaging --------------------------------------------------------------
@@ -905,14 +788,11 @@ void Network::merge_shard_buffers() {
       const std::string pre = "shard/" + std::to_string(sh->index) + "/";
       metrics_.counter(pre + "windows") = static_cast<std::int64_t>(p.windows);
       metrics_.counter(pre + "events") = static_cast<std::int64_t>(p.events);
-      metrics_.counter(pre + "fused_windows") =
-          static_cast<std::int64_t>(p.fused_windows);
       metrics_.counter(pre + "busy_ns") = static_cast<std::int64_t>(p.busy_ns);
       metrics_.counter(pre + "drain_ns") =
           static_cast<std::int64_t>(p.drain_ns);
       metrics_.counter(pre + "barrier_ns") =
           static_cast<std::int64_t>(p.barrier_ns);
-      metrics_.counter(pre + "idle_ns") = static_cast<std::int64_t>(p.idle_ns);
     }
   }
 }
@@ -931,28 +811,16 @@ std::size_t Network::run_windowed(SimTime limit) {
   // Worker w owns every shard s with s % W == w, all windows long — a
   // shard's events are always executed by the same thread, in the same heap
   // order, whatever W is; only wall-clock interleaving changes.
-  struct alignas(64) WorkerSlot {
-    bool parked = false;
-    std::uint64_t fused_run = 0;  // consecutive windows skipped so far
-  };
-  std::vector<WorkerSlot> wslot(W);
-  auto park = std::make_unique<ParkFlag[]>(W);
-
+  //
+  // t_end and done are plain fields: only advance() writes them, while every
+  // other worker waits at the gate, and workers read them after release.
   struct Ctl {
     SimTime t_end;
-    // Atomic: a worker parked out of generation G still runs its
-    // post-barrier bookkeeping while generation G+1's completion (which it
-    // is no longer a member of) may be writing `done`.  The flag alone is
-    // racy-read-tolerant — a stale false just re-checks after the ordered
-    // park/gate handoff — so relaxed everywhere.
-    std::atomic<bool> done{false};
-    std::uint64_t windows = 0;  // windows decided so far
-    std::vector<unsigned> wake_list;
+    bool done = false;
     std::exception_ptr error;
     std::mutex error_mu;
   } ctl;
   std::vector<std::int64_t> eff_next_us(num_shards);
-  unsigned next_parties = W;  // awake-worker count for the next window
 
   // The serial slice of the window protocol, run once per window by the
   // single barrier's last arriver.  Adaptive conservative window: shard s,
@@ -966,25 +834,15 @@ std::size_t Network::run_windowed(SimTime limit) {
   // with no active cross-shard constraint at all, one window runs to the
   // limit.
   //
-  // eff_next_s folds in committed-but-undrained ring events (a parked owner
-  // never drains, and even an awake owner only drains at its next window
-  // start).  Scanning the rings here is safe: commit records are producer-
-  // written during the window and advance-read at the barrier, when every
-  // producer is quiescent — never concurrently.
+  // eff_next_s folds in committed-but-undrained ring events (an owner only
+  // drains at its next window start).  Reading the rings here is safe:
+  // commit records are producer-written during the window and
+  // advance-read at the barrier, when every producer is quiescent.
   auto advance = [&] {
-    auto wake_all = [&] {
-      for (unsigned x = 0; x < W; ++x) {
-        if (wslot[x].parked) {
-          wslot[x].parked = false;
-          ctl.wake_list.push_back(x);
-        }
-      }
-    };
     {
       std::lock_guard<std::mutex> lock(ctl.error_mu);
       if (ctl.error) {
-        ctl.done.store(true, std::memory_order_relaxed);
-        wake_all();
+        ctl.done = true;
         return;
       }
     }
@@ -1000,8 +858,7 @@ std::size_t Network::run_windowed(SimTime limit) {
     for (std::uint32_t d = 0; d < num_shards; ++d)
       t_us = std::min(t_us, eff_next_us[d]);
     if (t_us >= kNeverMicros || t_us > limit.count_micros()) {
-      ctl.done.store(true, std::memory_order_relaxed);
-      wake_all();
+      ctl.done = true;
       return;
     }
     // Cap one tick past the (inclusive) limit; all arithmetic saturates.
@@ -1025,82 +882,16 @@ std::size_t Network::run_windowed(SimTime limit) {
     // The shard holding the global minimum T contributes T + la > T, so the
     // window always admits at least one event and the loop makes progress.
     ctl.t_end = SimTime::from_micros(end_us);
-    ++ctl.windows;
-
-    // Window fusion: a worker whose owned shards are all quiet below the
-    // window end (no heap event, no undrained inbound event) has nothing to
-    // run AND nothing to drain, so it skips the rendezvous entirely —
-    // parked workers don't arrive at the barrier (parties shrinks) and are
-    // woken when a shard of theirs goes active again.  kMaxFusedWindows
-    // bounds the run so a long-parked worker still touches its clock.
-    for (unsigned x = 0; x < W; ++x) {
-      bool quiet = true;
-      for (std::uint32_t s = x; s < num_shards; s += W) {
-        if (eff_next_us[s] < end_us) {
-          quiet = false;
-          break;
-        }
-      }
-      if (wslot[x].parked) {
-        if (!quiet || wslot[x].fused_run >= kMaxFusedWindows) {
-          wslot[x].parked = false;
-          wslot[x].fused_run = 0;
-          ctl.wake_list.push_back(x);
-        } else {
-          ++wslot[x].fused_run;
-          for (std::uint32_t s = x; s < num_shards; s += W)
-            ++shards_[s]->perf.fused_windows;
-        }
-      } else if (quiet && W > 1) {
-        wslot[x].parked = true;
-        wslot[x].fused_run = 1;
-        park[x].v.store(1, std::memory_order_relaxed);
-        for (std::uint32_t s = x; s < num_shards; s += W)
-          ++shards_[s]->perf.fused_windows;
-      }
-    }
-    unsigned awake = 0;
-    for (unsigned x = 0; x < W; ++x) {
-      if (!wslot[x].parked) ++awake;
-    }
-    next_parties = awake;  // applied by the gate after this completion
   };
 
   advance();
-  if (!ctl.done.load(std::memory_order_relaxed)) {
-    // The initial advance may already have parked workers whose shards are
-    // quiet below the first window; they wait on their flags from the
-    // start, so the gate opens with only the awake membership.
-    WindowGate gate(next_parties);
-    ctl.wake_list.clear();  // nobody is blocked yet; flags alone suffice
+  if (!ctl.done) {
+    WindowGate gate(W);
     auto perf_now = [] {
       return std::chrono::steady_clock::now();
     };
     auto worker = [&](unsigned w) {
-      // Wakes this worker's completion decided, swapped out of ctl.wake_list
-      // *inside* the gate (completions are serialized, so that access is
-      // exclusive) and processed after release from this private copy.  The
-      // completion runner may have parked itself out of the next generation,
-      // so the shared list could otherwise be pushed to by the next
-      // completion while this one is still draining it — and a wake issued
-      // from someone else's batch would hand the woken worker a park-flag
-      // release that doesn't carry the deciding advance's writes.
-      std::vector<unsigned> my_wakes;
-      while (true) {
-        if (park[w].v.load(std::memory_order_acquire) != 0) {
-          const auto t0 = perf_now();
-          while (park[w].v.load(std::memory_order_acquire) != 0) {
-            park[w].v.wait(1, std::memory_order_acquire);
-          }
-          if (shard_stats_) {
-            const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                perf_now() - t0)
-                                .count();
-            for (std::uint32_t s = w; s < num_shards; s += W)
-              shards_[s]->perf.idle_ns += static_cast<std::uint64_t>(ns);
-          }
-        }
-        if (ctl.done.load(std::memory_order_relaxed)) return;
+      while (!ctl.done) {
         // Per-shard spans are timed individually (only when stats are on):
         // attributing one sweep-wide span to every owned shard would
         // overcount by the owned-shard count and make the report's totals
@@ -1142,11 +933,7 @@ std::size_t Network::run_windowed(SimTime limit) {
           sh.next_at = sh.queue.empty() ? kNever : sh.queue.top().at;
         }
         const auto t0 = perf_now();
-        const bool last = gate.arrive_and_wait([&] {
-          advance();
-          my_wakes.swap(ctl.wake_list);
-          gate.set_parties(next_parties);
-        });
+        gate.arrive_and_wait(advance);
         if (shard_stats_) {
           const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                               perf_now() - t0)
@@ -1154,18 +941,6 @@ std::size_t Network::run_windowed(SimTime limit) {
           for (std::uint32_t s = w; s < num_shards; s += W)
             shards_[s]->perf.barrier_ns += static_cast<std::uint64_t>(ns);
         }
-        if (last && !my_wakes.empty()) {
-          // Wakes happen after the gate released this generation, so a
-          // woken worker's next arrival can't race the reset of the
-          // arrival counter.  The release-store publishes this thread's own
-          // advance (t_end, done, wslot) to the woken worker's acquire.
-          for (unsigned x : my_wakes) {
-            park[x].v.store(0, std::memory_order_release);
-            park[x].v.notify_all();
-          }
-          my_wakes.clear();
-        }
-        if (ctl.done.load(std::memory_order_relaxed)) return;
       }
     };
     if (W == 1) {
@@ -1269,14 +1044,12 @@ void Network::disable_capture() {
   capture_spans_.clear();
 }
 
-void Network::write_capture_segment_impl(std::span<std::ostream* const> outs,
-                                         std::string_view system,
-                                         std::uint64_t events,
-                                         const MetricsSnapshot& snapshot) {
+void Network::write_capture_segment(std::ostream& out, std::string_view system,
+                                    std::uint64_t events,
+                                    const MetricsSnapshot& snapshot) {
   if (!capture_on_) {
     throw std::logic_error("write_capture_segment: capture is not enabled");
   }
-  const bool split = outs.size() > 1;
 
   ByteWriter p;
   std::vector<std::uint8_t> blob;
@@ -1284,105 +1057,71 @@ void Network::write_capture_segment_impl(std::span<std::ostream* const> outs,
     append_btrace_record(blob, kind, p.data());
     p.clear();
   };
-  auto write_shard = [&](const Shard& sh) {
-    p.u32(sh.index);
-    p.u64(sh.capture.dropped_records());
-    p.u64(sh.capture.dropped_bytes());
-    record(BtraceRecord::kShardBegin);
-    sh.capture.drain_to(blob);
-  };
 
-  for (std::size_t f = 0; f < outs.size(); ++f) {
-    const bool primary = f == 0;
-    // Every file opens the segment so per-shard captures align at decode;
-    // the intern tables, span log, metrics, and run summary travel with the
-    // primary only.
-    p.str(system);
-    p.u32(static_cast<std::uint32_t>(shards_.size()));
-    record(BtraceRecord::kRunBegin);
+  p.str(system);
+  p.u32(static_cast<std::uint32_t>(shards_.size()));
+  record(BtraceRecord::kRunBegin);
 
-    if (primary) {
-      // Node-name intern table, written once per segment: steady-state
-      // kTrace records carry only NodeId integers.
-      p.u32(static_cast<std::uint32_t>(nodes_.size()));
-      for (const auto& n : nodes_) {
-        p.u32(n->id().value());
-        p.str(n->name());
-      }
-      record(BtraceRecord::kNodeTable);
-
-      const MessageRegistry& reg = MessageRegistry::instance();
-      const std::vector<std::uint16_t> types = reg.types();
-      p.u32(static_cast<std::uint32_t>(types.size()));
-      for (std::uint16_t t : types) {
-        p.u16(t);
-        p.str(reg.name_of(t));
-      }
-      record(BtraceRecord::kMsgTable);
-    }
-
-    if (split) {
-      write_shard(*shards_[f]);
-    } else {
-      for (const auto& sh : shards_) write_shard(*sh);
-    }
-
-    if (primary) {
-      const std::vector<std::uint8_t>& spans = capture_spans_.bytes();
-      blob.insert(blob.end(), spans.begin(), spans.end());
-      for (const auto& [name, v] : snapshot.counters) {
-        p.str(name);
-        p.u64(static_cast<std::uint64_t>(v));
-        record(BtraceRecord::kMetricCounter);
-      }
-      for (const auto& [name, v] : snapshot.gauges) {
-        p.str(name);
-        p.f64(v);
-        record(BtraceRecord::kMetricGauge);
-      }
-      for (const auto& [name, h] : snapshot.histograms) {
-        p.str(name);
-        p.u64(h.count);
-        p.f64(h.min);
-        p.f64(h.max);
-        p.f64(h.mean);
-        p.f64(h.p50);
-        p.f64(h.p95);
-        p.f64(h.p99);
-        record(BtraceRecord::kMetricHist);
-      }
-    }
-    p.u8(primary ? 1 : 0);
-    p.u64(events);
-    p.u64(static_cast<std::uint64_t>(now().count_micros()));
-    record(BtraceRecord::kRunEnd);
-
-    outs[f]->write(reinterpret_cast<const char*>(blob.data()),
-                   static_cast<std::streamsize>(blob.size()));
-    blob.clear();
+  // Node-name intern table, written once per segment: steady-state kTrace
+  // records carry only NodeId integers.
+  p.u32(static_cast<std::uint32_t>(nodes_.size()));
+  for (const auto& n : nodes_) {
+    p.u32(n->id().value());
+    p.str(n->name());
   }
+  record(BtraceRecord::kNodeTable);
+
+  const MessageRegistry& reg = MessageRegistry::instance();
+  const std::vector<std::uint16_t> types = reg.types();
+  p.u32(static_cast<std::uint32_t>(types.size()));
+  for (std::uint16_t t : types) {
+    p.u16(t);
+    p.str(reg.name_of(t));
+  }
+  record(BtraceRecord::kMsgTable);
+
+  for (const auto& sh : shards_) {
+    p.u32(sh->index);
+    p.u64(sh->capture.dropped_records());
+    p.u64(sh->capture.dropped_bytes());
+    record(BtraceRecord::kShardBegin);
+    sh->capture.drain_to(blob);
+  }
+
+  const std::vector<std::uint8_t>& spans = capture_spans_.bytes();
+  blob.insert(blob.end(), spans.begin(), spans.end());
+  for (const auto& [name, v] : snapshot.counters) {
+    p.str(name);
+    p.u64(static_cast<std::uint64_t>(v));
+    record(BtraceRecord::kMetricCounter);
+  }
+  for (const auto& [name, v] : snapshot.gauges) {
+    p.str(name);
+    p.f64(v);
+    record(BtraceRecord::kMetricGauge);
+  }
+  for (const auto& [name, h] : snapshot.histograms) {
+    p.str(name);
+    p.u64(h.count);
+    p.f64(h.min);
+    p.f64(h.max);
+    p.f64(h.mean);
+    p.f64(h.p50);
+    p.f64(h.p95);
+    p.f64(h.p99);
+    record(BtraceRecord::kMetricHist);
+  }
+  p.u8(1);  // the v1 layout's primary flag; always set
+  p.u64(events);
+  p.u64(static_cast<std::uint64_t>(now().count_micros()));
+  record(BtraceRecord::kRunEnd);
+
+  out.write(reinterpret_cast<const char*>(blob.data()),
+            static_cast<std::streamsize>(blob.size()));
 
   // The segment is on disk; start the next one clean.
   for (auto& sh : shards_) sh->capture.clear();
   capture_spans_.clear();
-}
-
-void Network::write_capture_segment(std::ostream& out, std::string_view system,
-                                    std::uint64_t events,
-                                    const MetricsSnapshot& snapshot) {
-  std::ostream* outs[] = {&out};
-  write_capture_segment_impl(outs, system, events, snapshot);
-}
-
-void Network::write_capture_segment_files(std::span<std::ostream* const> outs,
-                                          std::string_view system,
-                                          std::uint64_t events,
-                                          const MetricsSnapshot& snapshot) {
-  if (outs.size() != shards_.size()) {
-    throw std::invalid_argument(
-        "write_capture_segment_files: need exactly one stream per shard");
-  }
-  write_capture_segment_impl(outs, system, events, snapshot);
 }
 
 NetworkStats Network::stats() const {

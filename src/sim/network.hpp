@@ -82,19 +82,22 @@ struct NetworkStats {
 };
 
 /// Per-shard execution profile of the windowed engine, accumulated across
-/// runs.  `windows`/`events`/`fused_windows` are deterministic (derived from
-/// the window protocol, which is worker-count-invariant); the *_ns wall-clock
-/// timers are only collected when enable_shard_stats(true) was called and are
-/// inherently scheduling-dependent.  barrier_ns/idle_ns are measured per
-/// worker and attributed evenly across the shards that worker owns.
+/// runs.  `windows`/`events` are deterministic (derived from the window
+/// protocol, which is worker-count-invariant); the *_ns wall-clock timers
+/// are only collected when enable_shard_stats(true) was called and are
+/// inherently scheduling-dependent.  barrier_ns is measured per worker and
+/// attributed to every shard that worker owns.  `fused_windows` and
+/// `idle_ns` always read 0: every worker meets every window's rendezvous,
+/// so no window is skipped and no worker parks.  The fields stay because
+/// the benchmark harness (perfbench) still reads them.
 struct ShardPerfStats {
   std::uint64_t windows = 0;        // windows in which >= 1 event dispatched
   std::uint64_t events = 0;         // events dispatched
-  std::uint64_t fused_windows = 0;  // rendezvous skipped while provably idle
+  std::uint64_t fused_windows = 0;  // always 0 (see above)
   std::uint64_t busy_ns = 0;        // dispatching events
   std::uint64_t drain_ns = 0;       // inbox drain + outbox commit
   std::uint64_t barrier_ns = 0;     // waiting at the window rendezvous
-  std::uint64_t idle_ns = 0;        // parked (fused out of the rendezvous)
+  std::uint64_t idle_ns = 0;        // always 0 (see above)
 };
 
 class Network {
@@ -174,12 +177,11 @@ class Network {
   /// finds the connected components of what remains (the BSC/BTS/MS
   /// subtrees, the packet core, the H.323 cloud...), and packs them into at
   /// most `target_shards - 1` groups of roughly equal estimated event rate
-  /// (node degree is the rate proxy: every link is a traffic source).  A
-  /// component heavier than 1.5x the mean is split by distributing its leaf
-  /// nodes round-robin, so one hot cell stops serializing every window.
-  /// Groups are ordered by their smallest node id, which keeps shard-packed
-  /// sequence numbers aligned with node-creation order — the property that
-  /// makes sharded traces reproduce the sequential engine's tie-breaks.
+  /// (node degree is the rate proxy: every link is a traffic source);
+  /// components are never split.  Groups are ordered by their smallest
+  /// node id, which keeps shard-packed sequence numbers aligned with
+  /// node-creation order — the property that makes sharded traces
+  /// reproduce the sequential engine's tie-breaks.
   /// Purely a function of the topology: deterministic, never draws RNG.
   /// Returns a plan for set_shards(); groups[0] is empty (the core is the
   /// implicit shard 0).
@@ -193,7 +195,7 @@ class Network {
   void set_workers(unsigned workers);
   [[nodiscard]] unsigned workers() const { return workers_; }
 
-  /// Turns on wall-clock shard profiling (busy/drain/barrier/idle timers in
+  /// Turns on wall-clock shard profiling (busy/drain/barrier timers in
   /// shard_perf(), and "shard/<i>/..." instruments folded into the metrics
   /// registry at every sharded-run merge).  Off by default: the timers cost
   /// clock reads per window, and wall-clock values are not worker-count
@@ -202,13 +204,6 @@ class Network {
   [[nodiscard]] bool shard_stats_enabled() const { return shard_stats_; }
   /// Per-shard window-protocol profile (see ShardPerfStats).
   [[nodiscard]] std::vector<ShardPerfStats> shard_perf() const;
-  /// Cumulative cross-shard links visited by compute_shard_lookaheads —
-  /// observability for the seam cache: after the first windowed run, a
-  /// topology-untouched rerun adds zero, and a retune adds only the links
-  /// of the dirtied shards.
-  [[nodiscard]] std::uint64_t seam_links_scanned() const {
-    return seam_links_scanned_;
-  }
 
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
   [[nodiscard]] std::uint32_t shard_of(NodeId id) const {
@@ -304,15 +299,6 @@ class Network {
                              std::uint64_t events,
                              const MetricsSnapshot& snapshot);
 
-  /// Split variant: one output stream per shard (outs.size() must equal
-  /// num_shards()).  Stream i receives shard i's record stream; stream 0 is
-  /// the primary and additionally carries the span/metric/run-summary
-  /// records.  Decode the resulting files with decode_capture_files.
-  void write_capture_segment_files(std::span<std::ostream* const> outs,
-                                   std::string_view system,
-                                   std::uint64_t events,
-                                   const MetricsSnapshot& snapshot);
-
   /// FaultInjector bookkeeping hook: records a fault annotation into the
   /// trace (buffered per shard during a sharded run).
   void record_fault(SimTime at, const std::string& from,
@@ -358,26 +344,20 @@ class Network {
   /// Wait-free SPSC mailbox for one (source shard, destination shard) pair.
   /// The producer (the worker owning the source shard) appends events to a
   /// chain of fixed-size chunks during its window and publishes them with
-  /// ONE release-store per window — a sequence-stamped bulk commit carrying
-  /// the batch's minimum timestamp and the window index it was made in.
-  /// The consumer (the worker owning the destination shard) drains committed
-  /// events into its heap at window start; the window protocol guarantees a
-  /// commit made in window n is visible at the start of window n+1, so the
-  /// advance can tell exactly which commits are still undrained from the
-  /// destination's last-drain window alone — no consumer->producer counter
-  /// traffic on the hot path.  Producer and consumer halves live on separate
-  /// cache lines; the whole ring is line-aligned so adjacent (src,dst) pairs
-  /// never share a line.
+  /// ONE release-store per window — a bulk commit carrying the batch's
+  /// minimum timestamp.  The consumer (the worker owning the destination
+  /// shard) drains every committed event into its heap at the start of
+  /// every window, so at an advance only the latest commit can still be
+  /// undrained: the ring keeps that one record, and the advance reads the
+  /// undrained minimum off it with no consumer->producer traffic on the hot
+  /// path.  Producer and consumer halves live on separate cache lines; the
+  /// whole ring is line-aligned so adjacent (src,dst) pairs never share a
+  /// line.
   struct alignas(64) OutboxRing {
     static constexpr std::size_t kChunkEvents = 64;
     struct Chunk {
       std::array<Event, kChunkEvents> ev;
       std::atomic<Chunk*> next{nullptr};
-    };
-    /// One bulk commit: everything the producer staged during one window.
-    struct Commit {
-      std::uint64_t upto;      // cumulative event count after this commit
-      std::int64_t min_at_us;  // min Event::at over the batch, microseconds
     };
 
     // --- producer half ---
@@ -385,7 +365,7 @@ class Network {
     std::uint64_t appended = 0;          // events staged (incl. uncommitted)
     std::int64_t staged_min_us = kNeverUs;
     std::uint64_t committed_local = 0;   // producer's copy of `committed`
-    std::vector<Commit> commits;         // producer-written; advance-read
+    std::int64_t last_commit_min_us = kNeverUs;  // min Event::at, latest batch
     std::atomic<Chunk*> first{nullptr};
     std::atomic<std::uint64_t> committed{0};
 
@@ -398,10 +378,8 @@ class Network {
     // --- consumer half ---
     alignas(64) Chunk* head_chunk = nullptr;
     std::size_t head_off = 0;
-    // Cumulative events drained.  Atomic because the producer reads it
-    // (relaxed, for commit-log compaction) while the consumer may be
-    // storing; a stale read just keeps a record one window longer.
-    std::atomic<std::uint64_t> drained{0};
+    // Cumulative events drained; read by the advance only at the barrier.
+    std::uint64_t drained = 0;
 
     OutboxRing() = default;
     OutboxRing(const OutboxRing&) = delete;
@@ -462,20 +440,11 @@ class Network {
 
     [[nodiscard]] bool has_staged() const { return appended != committed_local; }
 
-    /// Bulk commit of the window's staged batch.  Compacts records whose
-    /// events the consumer has already drained (upto <= drained), keeping
-    /// the commit log O(windows the consumer has been parked), not O(run
-    /// length).  A concurrent drain only makes the compaction conservative.
+    /// Bulk commit of the window's staged batch.  Every earlier commit was
+    /// drained at the start of this window, so this one replaces it.
     void commit() {
       if (appended == committed_local) return;
-      const std::uint64_t d = drained.load(std::memory_order_relaxed);
-      if (!commits.empty() && commits.front().upto <= d) {
-        std::size_t k = 0;
-        while (k < commits.size() && commits[k].upto <= d) ++k;
-        commits.erase(commits.begin(),
-                      commits.begin() + static_cast<std::ptrdiff_t>(k));
-      }
-      commits.push_back({appended, staged_min_us});
+      last_commit_min_us = staged_min_us;
       staged_min_us = kNeverUs;
       committed_local = appended;
       committed.store(appended, std::memory_order_release);
@@ -483,21 +452,16 @@ class Network {
 
     /// Earliest timestamp across committed-but-undrained events.  Exact at
     /// barrier quiescence: the consumer always drains to a commit boundary,
-    /// so `upto > drained` identifies exactly the unconsumed records.
+    /// so the latest commit is either wholly drained or wholly pending.
     [[nodiscard]] std::int64_t undrained_min_us() const {
-      const std::uint64_t d = drained.load(std::memory_order_relaxed);
-      std::int64_t m = kNeverUs;
-      for (const Commit& c : commits) {
-        if (c.upto > d) m = std::min(m, c.min_at_us);
-      }
-      return m;
+      return committed_local > drained ? last_commit_min_us : kNeverUs;
     }
 
     /// Consumer side: moves every committed event into `heap` (one
     /// push_bulk per contiguous chunk run) and frees exhausted chunks.
     void drain_into(QuadHeap<Event, EventBefore>& heap) {
       const std::uint64_t n = committed.load(std::memory_order_acquire);
-      std::uint64_t got = drained.load(std::memory_order_relaxed);
+      std::uint64_t got = drained;
       if (got == n) return;
       while (got < n) {
         if (head_chunk == nullptr) {
@@ -517,13 +481,12 @@ class Network {
         head_off += run;
         got += run;
       }
-      drained.store(got, std::memory_order_relaxed);
+      drained = got;
     }
 
     /// Only meaningful outside a run (both sides quiescent).
     [[nodiscard]] bool empty_quiescent() const {
-      return committed.load(std::memory_order_relaxed) ==
-             drained.load(std::memory_order_relaxed);
+      return committed.load(std::memory_order_relaxed) == drained;
     }
   };
 
@@ -629,16 +592,11 @@ class Network {
   /// heap directly (single-threaded stimulus between runs).
   void route_event(Shard& origin, bool buffered, Event ev);
   void record_trace(Shard& sh, bool buffered, TraceEntry entry);
-  /// Recomputes shard_la_us_: per shard, the minimum latency over its
-  /// cross-shard links (a huge sentinel when it has none — an island shard
-  /// never constrains the window).  Throws if any cross-shard link has
-  /// non-positive latency.  The cross-shard link set is cached per shard on
-  /// the first windowed run; connect()/set_link_profile() mark only the two
-  /// affected shards dirty, so a sweep-style retune costs O(links of the
-  /// changed shards) instead of a full O(E) adjacency rescan per run.
+  /// Recomputes shard_la_us_ with one pass over the links: per shard, the
+  /// minimum latency over its cross-shard links (a huge sentinel when it
+  /// has none — an island shard never constrains the window).  Throws if
+  /// any cross-shard link has non-positive latency.
   void compute_shard_lookaheads();
-  /// connect()/set_link_profile() hook keeping the seam cache coherent.
-  void touch_seam_cache(NodeId a, NodeId b, std::uint32_t link, bool is_new);
   std::size_t run_sequential(SimTime limit);
   std::size_t run_windowed(SimTime limit);
   /// Executes every event with at < t_end on `sh` (worker context).
@@ -646,8 +604,7 @@ class Network {
   /// Moves committed inbound ring events into sh's heap (window start);
   /// recomputes sh.next_at.
   void drain_inboxes(Shard& sh);
-  /// Release-publishes this window's staged outbox events (window end),
-  /// compacting commit records already drained by the consumer.
+  /// Release-publishes this window's staged outbox events (window end).
   static void commit_outboxes(Shard& sh);
   /// Merges per-shard trace/span/metrics buffers into the global
   /// recorder/tracker/registry in DispatchKey order.
@@ -676,17 +633,6 @@ class Network {
   std::vector<std::unique_ptr<Shard>> shards_;  // stable addresses
   std::vector<std::uint32_t> node_shard_;       // index = id - 1
   std::vector<std::int64_t> shard_la_us_;       // per-shard lookahead, µs
-  /// Cached cross-shard ("seam") link set, per shard: built once on the
-  /// first windowed run, then kept coherent by touch_seam_cache().  a/b are
-  /// node indices (id - 1) for the validation error message.
-  struct SeamLink {
-    std::uint32_t link;
-    std::uint32_t a, b;
-  };
-  std::vector<std::vector<SeamLink>> shard_seams_;
-  std::vector<std::uint8_t> shard_la_dirty_;
-  bool seam_cache_built_ = false;
-  std::uint64_t seam_links_scanned_ = 0;
   unsigned workers_ = 1;
   bool shard_stats_ = false;
   std::uint64_t seed_;
@@ -699,12 +645,6 @@ class Network {
   bool capture_on_ = false;
   CaptureConfig capture_cfg_;
   SpanCaptureLog capture_spans_;
-
-  /// Shared segment assembly for the single-file and split writers.
-  void write_capture_segment_impl(std::span<std::ostream* const> outs,
-                                  std::string_view system,
-                                  std::uint64_t events,
-                                  const MetricsSnapshot& snapshot);
 };
 
 }  // namespace vgprs

@@ -34,7 +34,9 @@ std::unique_ptr<TrScenario> build_tr23821(const TrParams& p) {
 
   for (std::uint32_t i = 0; i < p.num_ms; ++i) {
     SubscriberIdentity id = make_subscriber(p.country_code, i + 1);
-    IpAddress static_ip(10, 2, 0, static_cast<std::uint8_t>(i + 1));
+    // 10.2.0.1 upward, carrying into the higher octets: MS #257 must not
+    // reuse MS #1's address.
+    const IpAddress static_ip(IpAddress(10, 2, 0, 0).value() + i + 1);
     SubscriberProfile profile;
     profile.msisdn = id.msisdn;
     profile.static_pdp_address = static_ip;
@@ -61,7 +63,8 @@ std::unique_ptr<TrScenario> build_tr23821(const TrParams& p) {
 
   for (std::uint32_t i = 0; i < p.num_terminals; ++i) {
     H323Terminal::Config tc;
-    tc.ip = IpAddress(192, 168, 1, 10 + static_cast<std::uint8_t>(i));
+    // Counted up from 192.168.1.10 like build_vgprs's terminals.
+    tc.ip = IpAddress(IpAddress(192, 168, 1, 10).value() + i);
     tc.alias = make_subscriber(p.country_code, 1000 + i).msisdn;
     tc.gk_ip = IpAddress(192, 168, 1, 1);
     tc.router_name = "Router";

@@ -124,7 +124,9 @@ std::unique_ptr<VgprsScenario> build_vgprs(const VgprsParams& p) {
 
   for (std::uint32_t i = 0; i < p.num_terminals; ++i) {
     H323Terminal::Config tc;
-    tc.ip = IpAddress(192, 168, 1, 10 + static_cast<std::uint8_t>(i));
+    // Counted up from 192.168.1.10, carrying into the higher octets, so
+    // terminal #248 does not wrap onto the gatekeeper's 192.168.1.1.
+    tc.ip = IpAddress(IpAddress(192, 168, 1, 10).value() + i);
     tc.alias = make_subscriber(p.country_code, 1000 + i).msisdn;
     tc.gk_ip = IpAddress(192, 168, 1, 1);
     tc.router_name = "Router";

@@ -1,8 +1,8 @@
 // vgprs.btrace.v1 packed binary capture: live-vs-decoded equality (the
 // decoder must reconstruct the exact trace / span / metric artifacts a live
-// run exports), ring eviction accounting, per-shard split files, fault
-// records, and robustness of the decoder against truncated or corrupted
-// input (clean diagnostics, never a crash).
+// run exports), ring eviction accounting, fault records, and robustness of
+// the decoder against truncated or corrupted input (clean diagnostics, never
+// a crash).
 #include <gtest/gtest.h>
 
 #include <span>
@@ -191,42 +191,6 @@ TEST(BtraceRoundTrip, FaultAnnotationsRoundTrip) {
     if (e.message.find("fault.drop") != std::string::npos) saw_fault = true;
   }
   EXPECT_TRUE(saw_fault) << "fault annotation lost in capture round-trip";
-}
-
-TEST(BtraceRoundTrip, SplitShardFilesDecodeLikeSingleFile) {
-  register_all_messages();
-  VgprsParams params;
-  params.sharded = true;
-  params.workers = 4;
-  auto s = build_vgprs(params);
-  s->net.spans().set_enabled(true);
-  s->net.enable_capture({});
-  s->ms[0]->power_on();
-  s->terminals[0]->register_endpoint();
-  std::uint64_t events = s->settle();
-  MetricsSnapshot snap = s->net.metrics_snapshot();
-  const std::size_t n = s->net.num_shards();
-  ASSERT_GT(n, 1u);
-  std::vector<std::ostringstream> streams(n);
-  std::vector<std::ostream*> outs;
-  for (auto& os : streams) {
-    write_btrace_file_info(os, "split", params.seed, 1);
-    outs.push_back(&os);
-  }
-  s->net.write_capture_segment_files(outs, "vgprs", events, snap);
-
-  std::vector<std::vector<std::uint8_t>> files;
-  for (auto& os : streams) {
-    const std::string bytes = os.str();
-    files.emplace_back(bytes.begin(), bytes.end());
-  }
-  Result<DecodedCapture> split = decode_capture_files(files);
-  ASSERT_TRUE(split.ok()) << split.error().to_string();
-
-  std::vector<TraceEntry> live;
-  s->net.trace().for_each([&](const TraceEntry& e) { live.push_back(e); });
-  expect_traces_equal(split.value().runs.front().trace, live);
-  EXPECT_EQ(split.value().runs.front().shards.size(), n);
 }
 
 // --- decoder robustness -----------------------------------------------------

@@ -219,5 +219,25 @@ TEST_F(TrTest, TerminalToTerminalCallsUnaffected) {
   EXPECT_EQ(s->gk->imsis_learned(), 0u);  // not a mobile subscriber
 }
 
+// Builder addresses count up from a base and carry into the higher octets:
+// MS #257's static PDP address must not reuse MS #1's, and terminal #248
+// must not land on the gatekeeper's 192.168.1.1.
+TEST(TrBuilderTest, AddressesCarryIntoHigherOctets) {
+  TrParams params;
+  params.num_ms = 257;
+  params.num_terminals = 248;
+  auto s = build_tr23821(params);
+  const Hlr::SubscriberRecord* first =
+      s->hlr->record(make_subscriber(params.country_code, 1).imsi);
+  const Hlr::SubscriberRecord* last =
+      s->hlr->record(make_subscriber(params.country_code, 257).imsi);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(first->profile.static_pdp_address, IpAddress(10, 2, 0, 1));
+  EXPECT_EQ(last->profile.static_pdp_address, IpAddress(10, 2, 1, 1));
+  EXPECT_EQ(s->terminals.back()->ip(), IpAddress(192, 168, 2, 1));
+  EXPECT_EQ(s->net.ip_owner(IpAddress(192, 168, 1, 1)), s->gk->id());
+}
+
 }  // namespace
 }  // namespace vgprs

@@ -253,5 +253,16 @@ TEST(EdgeTest, VoiceQosClassesDifferPerContext) {
   EXPECT_LT(voice->qos.priority, sig->qos.priority);  // 1 = highest
 }
 
+// Terminal addresses count up from 192.168.1.10 and carry into the third
+// octet, so terminal #248 does not take over the gatekeeper's 192.168.1.1.
+TEST(EdgeTest, TerminalAddressesCarryIntoHigherOctets) {
+  VgprsParams params;
+  params.num_terminals = 248;
+  auto s = build_vgprs(params);
+  EXPECT_EQ(s->terminals.front()->ip(), IpAddress(192, 168, 1, 10));
+  EXPECT_EQ(s->terminals.back()->ip(), IpAddress(192, 168, 2, 1));
+  EXPECT_EQ(s->net.ip_owner(IpAddress(192, 168, 1, 1)), s->gk->id());
+}
+
 }  // namespace
 }  // namespace vgprs

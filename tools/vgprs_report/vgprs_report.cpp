@@ -19,8 +19,8 @@
 //
 // Exports: --json (vgprs.report.v1 artifact), --metrics (metrics snapshot),
 // --chrome-trace (Perfetto / chrome://tracing span timeline), --trace-jsonl
-// (message trace as JSON Lines), --capture / --capture-dir (packed binary
-// vgprs.btrace.v1 capture; see sim/btrace.hpp).
+// (message trace as JSON Lines), --capture (packed binary vgprs.btrace.v1
+// capture; see sim/btrace.hpp).
 //
 // Offline decode of a capture:
 //
@@ -28,7 +28,6 @@
 //                       [--trace-jsonl out.jsonl] [--chrome-trace out.json]
 //                       [--metrics out.json] [--diff other.btrace]
 //
-// --in accepts a single capture file or a directory of per-shard files.
 // decode prints the same per-procedure tables a live run prints and
 // re-exports the same artifacts; --diff compares two captures (first trace
 // divergence, per-procedure latency deltas) and exits 1 when they differ.
@@ -38,12 +37,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,8 +63,7 @@ struct Options {
   std::string metrics_path;
   std::string chrome_path;
   std::string jsonl_path;
-  std::string capture_path;      // single-file binary capture
-  std::string capture_dir;       // per-shard binary capture files
+  std::string capture_path;      // binary capture
   std::size_t capture_ring = 0;  // ring bytes per shard (0 = keep all)
   std::uint32_t iters = 20;
   std::uint64_t seed = 1;
@@ -113,105 +109,52 @@ struct RunResult {
   std::size_t events = 0;
 };
 
-/// Sink for --capture / --capture-dir: owns the output stream(s), writes the
-/// kFileInfo header once, and serializes one btrace segment per finished
-/// network.  Inactive (all methods no-ops) when neither flag was given.
+/// Sink for --capture: owns the output stream, writes the kFileInfo header
+/// once, and serializes one btrace segment per finished network.  Inactive
+/// (all methods no-ops) when the flag was not given.
 class CaptureWriter {
  public:
-  /// Returns false (with a message on stderr) when an output cannot be
+  /// Returns false (with a message on stderr) when the output cannot be
   /// opened.
   bool open(const Options& opt) {
     ring_ = opt.capture_ring;
     shard_stats_ = opt.shard_stats;
-    if (!opt.capture_path.empty()) {
-      single_.open(opt.capture_path, std::ios::binary);
-      if (!single_) {
-        std::fprintf(stderr, "vgprs_report: cannot write %s\n",
-                     opt.capture_path.c_str());
-        return false;
-      }
-      write_btrace_file_info(single_, opt.scenario, opt.seed, opt.iters);
-      mode_ = Mode::kSingle;
-    } else if (!opt.capture_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(opt.capture_dir, ec);
-      dir_ = opt.capture_dir;
-      info_ = {opt.scenario, opt.seed, opt.iters};
-      mode_ = Mode::kSplit;
+    if (opt.capture_path.empty()) return true;
+    out_.open(opt.capture_path, std::ios::binary);
+    if (!out_) {
+      std::fprintf(stderr, "vgprs_report: cannot write %s\n",
+                   opt.capture_path.c_str());
+      return false;
     }
+    write_btrace_file_info(out_, opt.scenario, opt.seed, opt.iters);
     return true;
   }
-
-  [[nodiscard]] bool enabled() const { return mode_ != Mode::kOff; }
 
   /// Enables spans + binary capture + shard profiling on a freshly built
   /// scenario network.
   void arm(Network& net) const {
     net.spans().set_enabled(true);
     net.enable_shard_stats(shard_stats_);
-    if (enabled()) net.enable_capture(CaptureConfig{ring_});
+    if (out_.is_open()) net.enable_capture(CaptureConfig{ring_});
   }
 
   /// True while every capture write so far has succeeded.
-  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] bool ok() const { return !out_.fail(); }
 
   /// Writes everything `net` captured as one segment and resets its
   /// buffers.  `snapshot` must be the exact snapshot the report uses for
   /// this run so the offline decode reproduces it byte for byte.
   void finish(Network& net, std::string_view system, std::uint64_t events,
               const MetricsSnapshot& snapshot) {
-    ok_ = ok_ && finish_impl(net, system, events, snapshot);
+    if (out_.is_open()) {
+      net.write_capture_segment(out_, system, events, snapshot);
+    }
   }
 
  private:
-  bool finish_impl(Network& net, std::string_view system, std::uint64_t events,
-                   const MetricsSnapshot& snapshot) {
-    if (mode_ == Mode::kSingle) {
-      net.write_capture_segment(single_, system, events, snapshot);
-      return static_cast<bool>(single_);
-    }
-    if (mode_ == Mode::kSplit) {
-      if (shard_files_.empty()) {
-        for (std::size_t s = 0; s < net.num_shards(); ++s) {
-          auto f = std::make_unique<std::ofstream>(
-              dir_ / ("shard-" + std::to_string(s) + ".btrace"),
-              std::ios::binary);
-          if (!*f) {
-            std::fprintf(stderr, "vgprs_report: cannot write %s/shard-%zu.btrace\n",
-                         dir_.c_str(), s);
-            return false;
-          }
-          write_btrace_file_info(*f, info_.scenario, info_.seed, info_.iters);
-          shard_files_.push_back(std::move(f));
-        }
-      }
-      if (shard_files_.size() != net.num_shards()) {
-        std::fprintf(stderr,
-                     "vgprs_report: --capture-dir needs every run to use the "
-                     "same shard count\n");
-        return false;
-      }
-      std::vector<std::ostream*> outs;
-      outs.reserve(shard_files_.size());
-      for (auto& f : shard_files_) outs.push_back(f.get());
-      net.write_capture_segment_files(outs, system, events, snapshot);
-      for (auto& f : shard_files_) {
-        if (!*f) return false;
-      }
-      return true;
-    }
-    return true;
-  }
-
-  enum class Mode { kOff, kSingle, kSplit };
-  Mode mode_ = Mode::kOff;
-  bool ok_ = true;
   bool shard_stats_ = false;
   std::size_t ring_ = 0;
-  std::ofstream single_;
-  std::filesystem::path dir_;
-  BtraceInfo info_;
-  std::vector<std::unique_ptr<std::ofstream>> shard_files_;
+  std::ofstream out_;
 };
 
 /// Per-SpanKind digest of a run's spans.
@@ -273,19 +216,17 @@ void print_table(const RunResult& run) {
   if (it != run.metrics.counters.end()) sent = it->second;
   std::printf("messages sent: %lld\n", static_cast<long long>(sent));
   if (!run.shard_perf.empty()) {
-    std::printf("%-6s %9s %8s %9s %9s %9s %11s %9s\n", "shard", "windows",
-                "fused", "events", "busy(ms)", "drain(ms)", "barrier(ms)",
-                "idle(ms)");
+    std::printf("%-6s %9s %9s %9s %9s %11s\n", "shard", "windows", "events",
+                "busy(ms)", "drain(ms)", "barrier(ms)");
     const auto ms = [](std::uint64_t ns) {
       return static_cast<double>(ns) / 1e6;
     };
     for (std::size_t s = 0; s < run.shard_perf.size(); ++s) {
       const ShardPerfStats& p = run.shard_perf[s];
-      std::printf("%-6zu %9llu %8llu %9llu %9.2f %9.2f %11.2f %9.2f\n", s,
+      std::printf("%-6zu %9llu %9llu %9.2f %9.2f %11.2f\n", s,
                   static_cast<unsigned long long>(p.windows),
-                  static_cast<unsigned long long>(p.fused_windows),
                   static_cast<unsigned long long>(p.events), ms(p.busy_ns),
-                  ms(p.drain_ns), ms(p.barrier_ns), ms(p.idle_ns));
+                  ms(p.drain_ns), ms(p.barrier_ns));
     }
   }
   std::printf("\n");
@@ -641,7 +582,7 @@ int usage() {
                "PATH]\n"
                "                    [--chrome-trace PATH] [--trace-jsonl "
                "PATH]\n"
-               "                    [--capture PATH | --capture-dir DIR]\n"
+               "                    [--capture PATH]\n"
                "                    [--capture-ring BYTES] [--shard-stats 0|1]\n"
                "       vgprs_report decode --in PATH [--json PATH]\n"
                "                    [--metrics PATH] [--chrome-trace PATH]\n"
@@ -651,14 +592,13 @@ int usage() {
                "are byte-identical for every N (including N = 1) — worker\n"
                "count only changes wall-clock interleaving, never results\n"
                "--shard-stats 1 adds per-shard window-protocol profiling\n"
-               "(windows / fused windows / events plus wall-clock busy, drain,\n"
-               "barrier and idle time; the time columns are scheduling-\n"
-               "dependent and excluded from the determinism guarantee;\n"
-               "busy/drain are measured per shard, barrier/idle are the\n"
-               "owning worker's waits repeated on each shard it owns)\n"
+               "(windows / events plus wall-clock busy, drain and barrier\n"
+               "time; the time columns are scheduling-dependent and\n"
+               "excluded from the determinism guarantee; busy/drain are\n"
+               "measured per shard, barrier is the owning worker's wait\n"
+               "repeated on each shard it owns)\n"
                "--capture writes a packed binary vgprs.btrace.v1 capture;\n"
-               "decode reads one back (--in also takes a directory of\n"
-               "per-shard files) and reprints/re-exports the run\n"
+               "decode reads one back and reprints/re-exports the run\n"
                "scenarios:");
   for (const char* s : kScenarios) std::fprintf(stderr, " %s", s);
   std::fprintf(stderr, "\n");
@@ -735,45 +675,20 @@ int run(const Options& opt) {
 
 // --- decode ------------------------------------------------------------------
 
-bool read_file(const std::filesystem::path& path,
-               std::vector<std::uint8_t>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return !in.bad();
-}
-
-/// Loads a capture: a single file, or every regular file in a directory
-/// (name order — the per-shard shard-N.btrace files a split capture writes).
 Result<DecodedCapture> load_capture(const std::string& path) {
-  std::error_code ec;
-  std::vector<std::vector<std::uint8_t>> files;
-  if (std::filesystem::is_directory(path, ec)) {
-    std::vector<std::filesystem::path> names;
-    for (const auto& entry : std::filesystem::directory_iterator(path, ec)) {
-      if (entry.is_regular_file()) names.push_back(entry.path());
-    }
-    std::sort(names.begin(), names.end());
-    for (const auto& name : names) {
-      files.emplace_back();
-      if (!read_file(name, files.back())) {
-        return Error{ErrorCode::kDecodeTruncated,
-                     "cannot read capture file " + name.string()};
-      }
-    }
-    if (files.empty()) {
-      return Error{ErrorCode::kDecodeTruncated,
-                   "capture directory " + path + " has no files"};
-    }
-  } else {
-    files.emplace_back();
-    if (!read_file(path, files.back())) {
-      return Error{ErrorCode::kDecodeTruncated,
-                   "cannot read capture file " + path};
-    }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Error{ErrorCode::kDecodeTruncated,
+                 "cannot read capture file " + path};
   }
-  return decode_capture_files(files);
+  try {
+    const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>()};
+    return decode_capture(bytes);
+  } catch (const std::ios_base::failure& e) {  // e.g. the path is a directory
+    return Error{ErrorCode::kDecodeTruncated,
+                 "cannot read capture file " + path + ": " + e.what()};
+  }
 }
 
 std::vector<RunResult> to_run_results(DecodedCapture& cap) {
@@ -1010,8 +925,6 @@ int main(int argc, char** argv) {
       opt.jsonl_path = next("--trace-jsonl");
     } else if (std::strcmp(argv[i], "--capture") == 0) {
       opt.capture_path = next("--capture");
-    } else if (std::strcmp(argv[i], "--capture-dir") == 0) {
-      opt.capture_dir = next("--capture-dir");
     } else if (std::strcmp(argv[i], "--capture-ring") == 0) {
       opt.capture_ring = static_cast<std::size_t>(
           next_uint("--capture-ring", std::numeric_limits<std::uint64_t>::max()));
@@ -1028,11 +941,6 @@ int main(int argc, char** argv) {
     } else {
       return vgprs::usage();
     }
-  }
-  if (!opt.capture_path.empty() && !opt.capture_dir.empty()) {
-    std::fprintf(stderr,
-                 "vgprs_report: --capture and --capture-dir are exclusive\n");
-    return vgprs::usage();
   }
   if (opt.scenario.empty()) return vgprs::usage();
   return vgprs::run(opt);
