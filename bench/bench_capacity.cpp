@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -102,25 +103,16 @@ BENCHMARK(BM_VgprsCallCycle)->Arg(0)->Arg(1);
 // subscribers, range(1) = worker threads; the 1-worker rows are the
 // scaling baseline (same shard layout, same event order — only the thread
 // count changes, so the ratio is pure engine speedup).  Registration is
-// untimed setup; each iteration is a wave of simultaneous cross-cell call
-// cycles, which keeps every shard seam (Abis, A, Gn, Gi, IP) busy.  The
-// wave is capped at a fixed pair count strided across the population:
-// every terminating leg pages the whole destination cell (n/16 MSs), so
-// an uncapped wave at 100k subscribers would enqueue ~300M simultaneous
-// paging events (~15 GB of heap) — the cap bounds peak in-flight memory
-// while the per-event work stays identical.
+// untimed setup; each iteration is a wave of 2048 simultaneous cross-cell
+// call cycles, which keeps every shard seam (Abis, A, Gn, Gi, IP) busy.
+// A page is one delivery whatever the cell size, so a call costs the same
+// work at every scale and the rows report calls/s.
 void BM_ShardedCallMix(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto workers = static_cast<unsigned>(state.range(1));
-  // The million-subscriber row spreads the population over 64 cells and
-  // trims the wave: a terminating leg pages its whole destination cell
-  // (n / num_cells MSs), so holding 16 cells / 2048 pairs at 1M would put
-  // ~32M simultaneous paging events in flight.  64 cells x 256 pairs keeps
-  // the peak at ~4M events while per-event work is unchanged.
-  const bool million = n >= 1'000'000;
   VgprsParams params;
   params.num_ms = n;
-  params.num_cells = million ? 64 : 16;
+  params.num_cells = 16;
   params.bsc_channels = 8192;
   params.seed = 11;
   params.sharded = true;
@@ -140,14 +132,10 @@ void BM_ShardedCallMix(benchmark::State& state) {
   }
   // MSs are round-robin over the 16 cells, so adjacent indices sit in
   // adjacent cells: pairing (2p, 2p+1) makes every call cross-cell (and,
-  // under the shard plan, cross-shard) while the cap keeps the wave's
-  // paging fan-out bounded.
-  const std::size_t pairs =
-      std::min<std::size_t>(s->ms.size() / 2, million ? 256 : 2048);
-  std::uint64_t delivered = 0;
+  // under the shard plan, cross-shard).
+  const std::size_t pairs = std::min<std::size_t>(s->ms.size() / 2, 2048);
   std::int64_t calls = 0;
   for (auto _ : state) {
-    const std::uint64_t before = s->net.stats().messages_delivered;
     for (std::size_t p = 0; p < pairs; ++p) {
       s->ms[2 * p]->dial(s->ms[2 * p + 1]->config().msisdn);
     }
@@ -156,11 +144,8 @@ void BM_ShardedCallMix(benchmark::State& state) {
       s->ms[2 * p]->hangup();
     }
     s->settle();
-    delivered += s->net.stats().messages_delivered - before;
     calls += static_cast<std::int64_t>(pairs);
   }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(delivered), benchmark::Counter::kIsRate);
   state.counters["calls/s"] = benchmark::Counter(
       static_cast<double>(calls), benchmark::Counter::kIsRate);
   state.SetLabel(std::to_string(s->net.num_shards()) + " shards");
@@ -361,13 +346,16 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
   // 1w/8w pairs of the sharded call mix, remembered for the derived
   // speedup_8w_over_1w rows CI's perf-smoke gates on.
   struct MixScale {
+    unsigned subscribers;
     const char* scale;
     double w1 = 0.0;
     double w8 = 0.0;
   };
-  MixScale mix[] = {{"10k"}, {"100k"}, {"1m"}};
+  MixScale mix[] = {{10000, "10k"}, {100000, "100k"}, {1000000, "1m"}};
   for (const auto& run : runs) {
     const std::string name = run.run_name.str();
+    unsigned subscribers = 0;
+    unsigned workers = 0;
     if (name.find("BM_EventThroughput") != std::string::npos) {
       report.add("engine", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));
@@ -380,28 +368,18 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
     } else if (name.find("BM_VgprsCallCycle/1") != std::string::npos) {
       report.add("call_cycle_spans_on", "calls_per_s", "1/s",
                  counter_rate(run, "calls/s"));
-    } else if (name.find("BM_ShardedCallMix/10000/1") != std::string::npos) {
-      mix[0].w1 = counter_rate(run, "events/s");
-      report.add("sharded_call_mix_10k_1w", "events_per_s", "1/s", mix[0].w1);
-    } else if (name.find("BM_ShardedCallMix/10000/8") != std::string::npos) {
-      mix[0].w8 = counter_rate(run, "events/s");
-      report.add("sharded_call_mix_10k_8w", "events_per_s", "1/s", mix[0].w8);
-    } else if (name.find("BM_ShardedCallMix/1000000/1") !=
-               std::string::npos) {
-      mix[2].w1 = counter_rate(run, "events/s");
-      report.add("sharded_call_mix_1m_1w", "events_per_s", "1/s", mix[2].w1);
-    } else if (name.find("BM_ShardedCallMix/1000000/8") !=
-               std::string::npos) {
-      mix[2].w8 = counter_rate(run, "events/s");
-      report.add("sharded_call_mix_1m_8w", "events_per_s", "1/s", mix[2].w8);
-    } else if (name.find("BM_ShardedCallMix/100000/1") != std::string::npos) {
-      mix[1].w1 = counter_rate(run, "events/s");
-      report.add("sharded_call_mix_100k_1w", "events_per_s", "1/s",
-                 mix[1].w1);
-    } else if (name.find("BM_ShardedCallMix/100000/8") != std::string::npos) {
-      mix[1].w8 = counter_rate(run, "events/s");
-      report.add("sharded_call_mix_100k_8w", "events_per_s", "1/s",
-                 mix[1].w8);
+    } else if (std::sscanf(name.c_str(), "BM_ShardedCallMix/%u/%u",
+                           &subscribers, &workers) == 2) {
+      for (MixScale& m : mix) {
+        if (m.subscribers != subscribers || (workers != 1 && workers != 8)) {
+          continue;
+        }
+        const double rate = counter_rate(run, "calls/s");
+        (workers == 1 ? m.w1 : m.w8) = rate;
+        report.add(std::string("sharded_call_mix_") + m.scale + "_" +
+                       std::to_string(workers) + "w",
+                   "calls_per_s", "1/s", rate);
+      }
     } else if (name.find("BM_CaptureOverhead/10000/0") != std::string::npos) {
       report.add("capture_overhead_10k_off", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));

@@ -17,18 +17,6 @@ NodeId Bts::ms_node(const Imsi& imsi) const {
   return it == ms_by_imsi_.end() ? NodeId{} : it->second;
 }
 
-void Bts::broadcast_paging(const PagingInfo& info) {
-  // The paging channel reaches every MS camped on the cell; each MS filters
-  // on its own identity.
-  NodeId bsc_id = bsc();
-  for (NodeId n : net().neighbors(id())) {
-    if (n == bsc_id) continue;
-    auto out = pool_message<UmPagingRequest>();
-    static_cast<PagingInfo&>(*out) = info;
-    send(n, std::move(out));
-  }
-}
-
 void Bts::on_message(const Envelope& env) {
   // Stamp the serving cell into uplink location/paging payloads before the
   // generic relay (the MS does not know the cell identity; the BTS does).
@@ -58,10 +46,6 @@ void Bts::on_message(const Envelope& env) {
     relay<UmHandoverAccess, AbisHandoverAccess>(env, bsc());
     return;
   }
-  if (const auto* pg = dynamic_cast<const AbisPaging*>(env.msg.get())) {
-    broadcast_paging(*pg);
-    return;
-  }
 
   // Uplink: Um -> Abis.
   if (relay_up<UmChannelRequest, AbisChannelRequest>(env)) return;
@@ -82,6 +66,7 @@ void Bts::on_message(const Envelope& env) {
   if (relay_up<UmImsiDetach, AbisImsiDetach>(env)) return;
 
   // Downlink: Abis -> Um.
+  if (relay_down<AbisPaging, UmPagingRequest>(env)) return;
   if (relay_down<AbisImmediateAssignment, UmImmediateAssignment>(env)) return;
   if (relay_down<AbisLocationUpdateAccept, UmLocationUpdateAccept>(env))
     return;

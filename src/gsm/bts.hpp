@@ -1,8 +1,13 @@
 // Base Transceiver Station: terminates the Um air interface and relays
 // signaling to/from its BSC over Abis.  One BTS serves one cell.  The BTS
 // learns which simulated MS node carries which IMSI from uplink traffic and
-// uses that to address downlink messages; paging is broadcast to every MS
-// in the cell, as on a real paging channel.
+// uses that to address downlink messages, pages included: a page is one
+// paging-channel broadcast, modelled as one delivery to the MS it names.
+// That is equivalent to sending a copy to every camped MS because a copy
+// for another MS returned at that MS's identity check with no send, timer
+// or state change; Um links have zero jitter and zero loss, so the copies
+// drew no RNG; and a dropped send only leaves a gap in the sequence
+// numbers, so the remaining events keep their order.
 #pragma once
 
 #include <string>
@@ -30,7 +35,6 @@ class Bts final : public Node {
   [[nodiscard]] NodeId bsc() const;
   void note_ms(const Imsi& imsi, NodeId node) { ms_by_imsi_[imsi] = node; }
   [[nodiscard]] NodeId ms_node(const Imsi& imsi) const;
-  void broadcast_paging(const PagingInfo& info);
 
   /// Relays env's message as a `To` carrying the same payload.
   template <typename From, typename To>

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -26,20 +25,22 @@ namespace {
 // typically 40-200 bytes; a shared_ptr control block 24-32; the 512 top
 // class still covers the fattest composite messages.  16-byte header in
 // front of every block keeps the user pointer 16-aligned and names the
-// class so cross-thread frees route correctly.
+// class and the owning pool so cross-thread frees route correctly.
 constexpr std::size_t kClasses[] = {32, 48, 64, 96, 128, 192, 256, 384, 512};
 constexpr std::size_t kNumClasses = sizeof(kClasses) / sizeof(kClasses[0]);
-constexpr std::size_t kMaxPooled = kClasses[kNumClasses - 1];
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kChunkBytes = 64 * 1024;
 constexpr std::uint32_t kOversizeClass = 0xFFFFFFFFu;
 
+struct Pool;
+
 struct BlockHeader {
   std::uint32_t size_class;  // index into kClasses, or kOversizeClass
   std::uint32_t magic;       // cheap double-free / stray-pointer guard
+  Pool* owner;               // pool that carved the block; null if oversize
 };
+static_assert(sizeof(BlockHeader) <= kHeaderBytes);
 constexpr std::uint32_t kMagicLive = 0xA11C'0DEDu;
-constexpr std::uint32_t kMagicFree = 0xDEAD'B10Cu;
 
 // Slow-path counters; bumped only on chunk refill / oversize, so the atomics
 // never show up in a profile.
@@ -57,102 +58,48 @@ std::uint32_t class_of(std::size_t n) {
   return kOversizeClass;
 }
 
+// A free block's link overlays the header's class and magic words, so a
+// double free reads a magic other than kMagicLive; the owner word stays
+// intact for the block's whole life.
 struct FreeBlock {
   FreeBlock* next;
 };
 
-// Cross-thread rebalancing.  A message is usually freed on the thread that
-// *received* it, not the one that allocated it, so a persistently one-sided
-// cross-shard flow (one hot shard fanning out paging broadcasts, say) would
-// strand ever more blocks on the consumer's list while the producer carves
-// fresh chunks — unbounded growth at a chunk every few call waves.  Bound
-// it: past kShedThreshold blocks the per-class thread list stops growing
-// and further frees divert to a spill chain (both ends tracked, O(1), no
-// walking).  Spilled blocks still serve this thread's allocations first;
-// only when a full batch of kShedBatch accumulates with no local taker —
-// the one-sided-consumer signature — is the chain flushed to a global
-// shelf, where an allocation miss on any thread adopts it before carving.
-// Every hot-path step is lock-free: the shelf mutex is touched once per
-// flushed/adopted batch, never per block, and an empty shelf is detected
-// with one relaxed load.
-constexpr std::size_t kShedThreshold = 256;
-constexpr std::size_t kShedBatch = 128;
-
-struct Shelf {
-  std::mutex mu;
-  FreeBlock* head[kNumClasses] = {};
-  // Mirrors the per-class list length.  Written under `mu`; read lock-free
-  // by the adopt fast path so an empty shelf costs one relaxed load, not a
-  // mutex round-trip — the miss path runs once per burst-drained class, and
-  // paying a lock there shows up directly in events/s.
-  std::atomic<std::size_t> count[kNumClasses] = {};
-};
-/// Intentionally leaked, like the orphanage: no destruction-order hazard.
-Shelf& shelf() {
-  static Shelf* s = new Shelf;
-  return *s;
-}
-
 /// One thread's cache: free lists per class plus the current bump chunk.
-/// Pool objects are never destroyed — chunks referenced from other threads'
-/// free lists must stay mapped — they are parked and re-adopted instead.
+/// Pool objects are never destroyed — blocks they carved may be in flight on
+/// other threads — they are parked and re-adopted instead.
 struct Pool {
   FreeBlock* free_list[kNumClasses] = {};
-  std::size_t free_count[kNumClasses] = {};
-  // Overflow past kShedThreshold: a second LIFO chain with its tail pinned
-  // so a full batch splices onto the shelf without traversal.
-  FreeBlock* spill_head[kNumClasses] = {};
-  FreeBlock* spill_tail[kNumClasses] = {};
-  std::size_t spill_count[kNumClasses] = {};
   std::byte* bump = nullptr;
   std::byte* bump_end = nullptr;
-  std::vector<void*> chunks;
   std::uint64_t pooled_allocs = 0;
+  // Blocks this pool carved that other threads freed: per class, a
+  // lock-free stack any thread pushes and the owner takes whole.  Push-only
+  // plus take-all has no ABA hazard.  On its own cache lines, away from the
+  // owner's hot fields above.
+  alignas(64) std::atomic<FreeBlock*> remote[kNumClasses] = {};
 
   void* carve(std::uint32_t cls) {
     const std::size_t need = kHeaderBytes + kClasses[cls];
     if (static_cast<std::size_t>(bump_end - bump) < need) {
-      void* chunk = ::operator new(kChunkBytes);
-      chunks.push_back(chunk);
-      bump = static_cast<std::byte*>(chunk);
+      // Chunks are process-lifetime, like the pools that carve them.
+      bump = static_cast<std::byte*>(::operator new(kChunkBytes));
       bump_end = bump + kChunkBytes;
       g_chunks.fetch_add(1, std::memory_order_relaxed);
       g_bytes.fetch_add(kChunkBytes, std::memory_order_relaxed);
     }
-    void* block = bump;
+    auto* h = reinterpret_cast<BlockHeader*>(bump);
+    h->owner = this;
     bump += need;
-    return block;
+    return h;
   }
 
-  /// Splice the full spill chain onto the global shelf in one lock.
-  void flush_spill(std::uint32_t cls) {
-    Shelf& s = shelf();
-    std::lock_guard<std::mutex> lock(s.mu);
-    spill_tail[cls]->next = s.head[cls];
-    s.head[cls] = spill_head[cls];
-    s.count[cls].store(
-        s.count[cls].load(std::memory_order_relaxed) + spill_count[cls],
-        std::memory_order_relaxed);
-    spill_head[cls] = nullptr;
-    spill_tail[cls] = nullptr;
-    spill_count[cls] = 0;
-  }
-
-  /// Take the shelf's whole list for this class; returns one block for the
-  /// caller, the rest becomes the thread's free list.
-  FreeBlock* adopt(std::uint32_t cls) {
-    Shelf& s = shelf();
-    // Lock-free empty check: a stale zero just delays adoption by one
-    // alloc, a stale nonzero pays one uncontended lock.
-    if (s.count[cls].load(std::memory_order_relaxed) == 0) return nullptr;
-    std::lock_guard<std::mutex> lock(s.mu);
-    FreeBlock* head = s.head[cls];
-    if (head == nullptr) return nullptr;
-    free_list[cls] = head->next;
-    free_count[cls] = s.count[cls].load(std::memory_order_relaxed) - 1;
-    s.head[cls] = nullptr;
-    s.count[cls].store(0, std::memory_order_relaxed);
-    return head;
+  void push_remote(std::uint32_t cls, FreeBlock* fb) noexcept {
+    FreeBlock* head = remote[cls].load(std::memory_order_relaxed);
+    do {
+      fb->next = head;
+    } while (!remote[cls].compare_exchange_weak(
+        head, fb, std::memory_order_release, std::memory_order_relaxed));
   }
 };
 
@@ -178,6 +125,7 @@ struct TlCache {
     Orphanage& o = orphanage();
     std::lock_guard<std::mutex> lock(o.mu);
     o.pools.push_back(pool);
+    pool = nullptr;  // a late free on this thread now takes the remote path
   }
 
   Pool& get() {
@@ -203,6 +151,7 @@ void* oversize_alloc(std::size_t n) {
   auto* h = reinterpret_cast<BlockHeader*>(raw);
   h->size_class = kOversizeClass;
   h->magic = kMagicLive;
+  h->owner = nullptr;
   g_oversize.fetch_add(1, std::memory_order_relaxed);
   return raw + kHeaderBytes;
 }
@@ -218,23 +167,15 @@ void* pool_alloc(std::size_t n) {
     return oversize_alloc(n);
   }
   Pool& pool = tl_cache.get();
+  FreeBlock*& head = pool.free_list[cls];
+  if (head == nullptr) {
+    // Local miss: take back everything other threads returned, then carve.
+    head = pool.remote[cls].exchange(nullptr, std::memory_order_acquire);
+  }
   void* block;
-  // Spill first: once the capped list is full, the spill chain's head is
-  // the most recently freed — and therefore cache-hottest — block, while
-  // the list's head can be an old cold block from an adopted batch.  In
-  // that regime alloc/free cycles run entirely through the spill chain in
-  // pure LIFO order and never touch the shelf.
-  if (FreeBlock* sp = pool.spill_head[cls]; sp != nullptr) {
-    pool.spill_head[cls] = sp->next;
-    if (pool.spill_head[cls] == nullptr) pool.spill_tail[cls] = nullptr;
-    --pool.spill_count[cls];
-    block = sp;
-  } else if (FreeBlock* head = pool.free_list[cls]; head != nullptr) {
-    pool.free_list[cls] = head->next;
-    --pool.free_count[cls];
+  if (head != nullptr) {
     block = head;
-  } else if (FreeBlock* adopted = pool.adopt(cls); adopted != nullptr) {
-    block = adopted;
+    head = head->next;
   } else {
     block = pool.carve(cls);
   }
@@ -258,19 +199,14 @@ void pool_free(void* p) noexcept {
 #ifdef VGPRS_POOL_PASSTHROUGH
   ::operator delete(block);
 #else
-  h->magic = kMagicFree;
-  Pool& pool = tl_cache.get();
   auto* fb = reinterpret_cast<FreeBlock*>(block);
   const std::uint32_t cls = h->size_class;
-  if (pool.free_count[cls] < kShedThreshold) [[likely]] {
-    fb->next = pool.free_list[cls];
-    pool.free_list[cls] = fb;
-    ++pool.free_count[cls];
+  Pool* owner = h->owner;
+  if (owner == tl_cache.pool) [[likely]] {
+    fb->next = owner->free_list[cls];
+    owner->free_list[cls] = fb;
   } else {
-    fb->next = pool.spill_head[cls];
-    pool.spill_head[cls] = fb;
-    if (pool.spill_tail[cls] == nullptr) pool.spill_tail[cls] = fb;
-    if (++pool.spill_count[cls] >= kShedBatch) pool.flush_spill(cls);
+    owner->push_remote(cls, fb);
   }
 #endif
 }

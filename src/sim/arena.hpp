@@ -10,18 +10,25 @@
 // dispatch allocation-free without any lifetime cliff.
 //
 //  * Allocation rounds the request up to a size class and pops the calling
-//    thread's free list; a miss carves from the thread's current 64 KiB
-//    chunk (bump); a chunk miss allocates a fresh chunk from the system —
-//    the only path that ever reaches the global heap in steady state.
-//  * Every block carries a 16-byte header naming its size class, so a block
-//    may be freed on a different thread than it was allocated on (a message
-//    decoded on the sending shard is destroyed on the receiving one); it
-//    simply joins the freeing thread's list.  Blocks above the largest
-//    class pass through to the global heap, tagged oversize.
+//    thread's free list; a local miss first takes back, with one atomic
+//    exchange, every block of that class other threads have returned
+//    (below), then carves from the thread's current 64 KiB chunk (bump); a
+//    chunk miss allocates a fresh chunk from the system — the only path
+//    that ever reaches the global heap in steady state.
+//  * Every block carries a 16-byte header naming its size class and the
+//    pool that carved it, and always goes back to that pool.  Freed on the
+//    owning thread it joins the local free list; freed on any other thread
+//    (a message decoded on the sending shard is destroyed on the receiving
+//    one) it is pushed onto the owner's per-class lock-free stack.  So a
+//    one-sided cross-thread flow cannot strand blocks on the consumer while
+//    the producer carves: the producer's next miss reclaims them.  Blocks
+//    above the largest class pass through to the global heap, tagged
+//    oversize.
 //  * Thread caches are never destroyed: when a worker thread exits (the
 //    sharded engine spawns workers per run) its pool is parked in a global
 //    orphanage and adopted by the next worker, so repeated runs recycle
-//    the same chunks instead of leaking per-thread state.
+//    the same chunks instead of leaking per-thread state.  Frees of a
+//    parked pool's blocks wait on its stacks for the adopter.
 //  * Under ASan/TSan/MSan the pool degrades to tagged global new/delete:
 //    recycling would mask use-after-free and the sanitizers' own
 //    interception is the point of those builds.

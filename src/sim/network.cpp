@@ -163,15 +163,6 @@ bool Network::linked(NodeId a, NodeId b) const {
   return find_link(a, b) != nullptr;
 }
 
-std::vector<NodeId> Network::neighbors(NodeId id) const {
-  std::vector<NodeId> out;
-  if (!id.valid() || id.value() > adjacency_.size()) return out;
-  const auto& adj = adjacency_[id.value() - 1];
-  out.reserve(adj.size());
-  for (const Adjacency& a : adj) out.push_back(a.peer);
-  return out;
-}
-
 const LinkProfile* Network::link_between(NodeId a, NodeId b) const {
   const Adjacency* adj = find_link(a, b);
   return adj == nullptr ? nullptr : &link_profiles_[adj->link];

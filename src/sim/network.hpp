@@ -13,7 +13,7 @@
 //  * the wire round-trip encodes into a reusable scratch ByteWriter and
 //    decodes from a span view of it — zero steady-state allocations;
 //  * topology is per-node adjacency lists, so link lookup is O(degree)
-//    with no hashing and neighbor enumeration is O(degree), not O(E);
+//    with no hashing;
 //  * link labels are interned into a per-Network table, so LinkProfile is
 //    trivially copyable and profile churn never allocates.
 //
@@ -135,8 +135,6 @@ class Network {
   }
 
   [[nodiscard]] bool linked(NodeId a, NodeId b) const;
-  /// All nodes directly linked to `id` (used e.g. for paging broadcast).
-  [[nodiscard]] std::vector<NodeId> neighbors(NodeId id) const;
   [[nodiscard]] const LinkProfile* link_between(NodeId a, NodeId b) const;
   /// Replaces the profile of an existing link (for sweeps).
   void set_link_profile(NodeId a, NodeId b, LinkProfile profile);

@@ -10,16 +10,22 @@
 //    stay inside a small slack (thread start-up, late container growth);
 //  * on the real vGPRS sharded call mix, the message-pool statistics
 //    (chunks, reserved bytes, oversize fallbacks) must be flat across
-//    call waves once the first wave has warmed the pool.
+//    call waves once the first wave has warmed the pool;
+//  * a producer/consumer pair of threads drives the pool's cross-thread
+//    return path directly: no block may be handed out twice, and the chunk
+//    count must be flat once warm.
 //
-// Both gates are skipped when the pool runs in sanitizer passthrough mode
+// All gates are skipped when the pool runs in sanitizer passthrough mode
 // (message_pool_enabled() == false): then every message *is* a fresh heap
 // allocation, by design, so the sanitizer can see it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
+#include <deque>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -167,6 +173,98 @@ TEST(AllocRegression, CallMixPoolStatsAreFlatAcrossWaves) {
   EXPECT_EQ(after.bytes_reserved, warm.bytes_reserved);
   EXPECT_EQ(after.oversize_allocs, warm.oversize_allocs);
   EXPECT_GT(after.pooled_allocs, warm.pooled_allocs);
+}
+
+TEST(AllocRegression, CrossThreadFreesReturnToTheCarvingPool) {
+  if (!message_pool_enabled()) {
+    GTEST_SKIP() << "message pool in sanitizer passthrough mode";
+  }
+  // The producer cycles through every size class, fills each block with its
+  // sequence number, frees every fourth block itself and hands the rest to
+  // the consumer through a bounded ring.  The consumer frees on its own
+  // thread, so each of those frees takes the return path to the producer's
+  // pool.  It holds the last few blocks before freeing them and re-checks
+  // their stamps then, so a block handed out twice shows as an overwrite.
+  // An overwritten block is counted and left to its other holder to free.
+  constexpr std::size_t kSizes[] = {24, 40, 64, 96, 120, 176, 256, 320, 504};
+  constexpr std::uint64_t kBlocks = 200'000;
+  constexpr std::uint64_t kWarm = kBlocks / 4;
+  constexpr std::size_t kRing = 64;
+  constexpr std::size_t kHeld = 8;
+
+  struct Block {
+    std::uint64_t* words = nullptr;
+    std::size_t count = 0;
+    std::uint64_t seq = 0;
+  };
+  auto stamp = [](const Block& b) {
+    for (std::size_t w = 0; w < b.count; ++w) b.words[w] = b.seq;
+  };
+  auto intact = [](const Block& b) {
+    for (std::size_t w = 0; w < b.count; ++w) {
+      if (b.words[w] != b.seq) return false;
+    }
+    return true;
+  };
+
+  std::array<Block, kRing> ring;
+  std::atomic<std::uint64_t> pushed{0};
+  std::atomic<std::uint64_t> popped{0};
+  std::atomic<std::uint64_t> overwritten{0};
+  std::uint64_t warm_chunks = 0;
+
+  auto release = [&](const Block& b) {
+    if (intact(b)) {
+      pool_free(b.words);
+    } else {
+      overwritten.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread consumer([&] {
+    std::deque<Block> held;
+    for (std::uint64_t next = 0;; ++next) {
+      while (pushed.load(std::memory_order_acquire) == next) {
+        std::this_thread::yield();
+      }
+      const Block b = ring[next % kRing];
+      popped.store(next + 1, std::memory_order_release);
+      if (b.words == nullptr) break;  // end of stream
+      if (!intact(b)) overwritten.fetch_add(1, std::memory_order_relaxed);
+      held.push_back(b);
+      if (held.size() > kHeld) {
+        release(held.front());
+        held.pop_front();
+      }
+    }
+    for (const Block& b : held) release(b);
+  });
+
+  std::uint64_t handed = 0;
+  auto hand_over = [&](const Block& b) {
+    while (handed - popped.load(std::memory_order_acquire) == kRing) {
+      std::this_thread::yield();
+    }
+    ring[handed % kRing] = b;
+    pushed.store(++handed, std::memory_order_release);
+  };
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    if (i == kWarm) warm_chunks = message_pool_stats().chunks;
+    const std::size_t bytes = kSizes[i % std::size(kSizes)];
+    Block b{static_cast<std::uint64_t*>(pool_alloc(bytes)),
+            bytes / sizeof(std::uint64_t), i + 1};
+    stamp(b);
+    if (i % 4 == 0) {
+      release(b);
+    } else {
+      hand_over(b);
+    }
+  }
+  hand_over(Block{});
+  consumer.join();
+
+  EXPECT_EQ(overwritten.load(), 0u) << "a live block was handed out twice";
+  EXPECT_EQ(message_pool_stats().chunks, warm_chunks)
+      << "cross-thread frees did not reach the carving pool";
 }
 
 }  // namespace

@@ -91,6 +91,30 @@ TEST(MobilityTest, MovementLocationUpdateWithinVmsc) {
   EXPECT_TRUE(connected);
 }
 
+TEST(MobilityTest, TerminatingCallAfterMoveWithinBsc) {
+  // Pages follow what each BTS learned from uplink traffic; the new cell
+  // learns the MS from its movement location update.
+  TwoAreaWorld w;
+  MobileStation& ms = *w.s->ms[0];
+  ms.power_on();
+  w.s->terminals[0]->register_endpoint();
+  w.s->settle();
+  ms.move_to("BTS-1b");
+  w.s->settle();
+  ASSERT_EQ(ms.state(), MobileStation::State::kIdle);
+
+  w.s->net.trace().clear();
+  bool connected = false;
+  ms.on_connected = [&](CallRef) { connected = true; };
+  w.s->terminals[0]->place_call(ms.config().msisdn);
+  w.s->settle();
+  EXPECT_TRUE(connected);
+  EXPECT_EQ(ms.state(), MobileStation::State::kConnected);
+  EXPECT_EQ(w.s->net.trace().count(
+                FlowStep{"BTS-1b", "Um_Paging_Request", ms.name()}),
+            1u);
+}
+
 TEST(MobilityTest, InterVmscMoveCleansUpOldArea) {
   TwoAreaWorld w;
   MobileStation& ms = *w.s->ms[0];

@@ -308,18 +308,6 @@ TEST_F(SimTest, DuplicateNodeNameRejected) {
   EXPECT_THROW(net.add<Probe>("a"), std::invalid_argument);
 }
 
-TEST_F(SimTest, NeighborsEnumeratesLinks) {
-  Network net;
-  auto& a = net.add<Probe>("a");
-  auto& b = net.add<Probe>("b");
-  auto& c = net.add<Probe>("c");
-  net.connect(a, b, LinkProfile{});
-  net.connect(a, c, LinkProfile{});
-  auto n = net.neighbors(a.id());
-  EXPECT_EQ(n.size(), 2u);
-  EXPECT_EQ(net.neighbors(b.id()).size(), 1u);
-}
-
 TEST_F(SimTest, TraceMatcherSemantics) {
   TraceRecorder trace;
   auto entry = [&](const char* from, const char* msg, const char* to) {

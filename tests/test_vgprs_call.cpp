@@ -209,5 +209,68 @@ TEST_F(CallTest, MsToMsCallThroughHairpin) {
   EXPECT_EQ(s->ms[1]->state(), MobileStation::State::kIdle);
 }
 
+/// One terminal->MS call into a single cell camping `num_ms` MSs; the last
+/// MS is the callee.
+struct PagedCall {
+  std::size_t pages = 0;            // Um_Paging_Request deliveries
+  std::size_t pages_to_callee = 0;
+  std::uint64_t deliveries = 0;     // every delivery of the call setup
+  std::uint32_t termination_hops = 0;
+  bool connected = false;
+  bool others_idle = true;
+};
+
+PagedCall page_one_ms_of(std::uint32_t num_ms) {
+  VgprsParams params;
+  params.num_ms = num_ms;
+  auto s = build_vgprs(params);
+  s->net.spans().set_enabled(true);
+  for (auto* ms : s->ms) ms->power_on();
+  s->terminals[0]->register_endpoint();
+  s->settle();
+  MobileStation& callee = *s->ms.back();
+  s->net.trace().clear();
+
+  PagedCall out;
+  callee.on_connected = [&](CallRef) { out.connected = true; };
+  const std::uint64_t before = s->net.stats().messages_delivered;
+  s->terminals[0]->place_call(callee.config().msisdn);
+  s->settle();
+  out.deliveries = s->net.stats().messages_delivered - before;
+  out.pages = s->net.trace().count("Um_Paging_Request");
+  out.pages_to_callee = s->net.trace().count(
+      FlowStep{"BTS", "Um_Paging_Request", callee.name()});
+  for (const Span& span : s->net.spans().spans()) {
+    if (span.kind == SpanKind::kTermination) out.termination_hops = span.hops;
+  }
+  for (auto* ms : s->ms) {
+    if (ms != &callee && ms->state() != MobileStation::State::kIdle) {
+      out.others_idle = false;
+    }
+  }
+  return out;
+}
+
+TEST(PagingTest, PageReachesOnlyTheAddressedMs) {
+  const PagedCall call = page_one_ms_of(8);
+  EXPECT_TRUE(call.connected);
+  EXPECT_EQ(call.pages, 1u);
+  EXPECT_EQ(call.pages_to_callee, 1u);
+  EXPECT_TRUE(call.others_idle);
+}
+
+TEST(PagingTest, CellSizeDoesNotChangeTheCallsCost) {
+  // One paging-channel broadcast per page, whatever the cell holds: the
+  // call costs the same deliveries and termination hops as in a cell with
+  // only the callee.
+  const PagedCall crowded = page_one_ms_of(8);
+  const PagedCall alone = page_one_ms_of(1);
+  ASSERT_TRUE(alone.connected);
+  EXPECT_EQ(alone.deliveries, 74u);
+  EXPECT_EQ(alone.termination_hops, 40u);
+  EXPECT_EQ(crowded.deliveries, alone.deliveries);
+  EXPECT_EQ(crowded.termination_hops, alone.termination_hops);
+}
+
 }  // namespace
 }  // namespace vgprs
