@@ -153,9 +153,11 @@ void BM_ShardedCallMix(benchmark::State& state) {
 BENCHMARK(BM_ShardedCallMix)
     ->Args({10000, 1})
     ->Args({10000, 2})
+    ->Args({10000, 4})
     ->Args({10000, 8})
     ->Args({100000, 1})
     ->Args({100000, 2})
+    ->Args({100000, 4})
     ->Args({100000, 8})
     ->Args({1000000, 1})
     ->Args({1000000, 8})
@@ -343,12 +345,13 @@ double ns_per_op(const benchmark::BenchmarkReporter::Run& run) {
 /// schema all benches emit.
 void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
                bench::JsonReport& report) {
-  // 1w/8w pairs of the sharded call mix, remembered for the derived
-  // speedup_8w_over_1w rows CI's perf-smoke gates on.
+  // 1w/4w/8w rows of the sharded call mix, remembered for the derived
+  // speedup_4w_over_1w and speedup_8w_over_1w rows CI's perf-smoke warns on.
   struct MixScale {
     unsigned subscribers;
     const char* scale;
     double w1 = 0.0;
+    double w4 = 0.0;
     double w8 = 0.0;
   };
   MixScale mix[] = {{10000, "10k"}, {100000, "100k"}, {1000000, "1m"}};
@@ -371,11 +374,11 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
     } else if (std::sscanf(name.c_str(), "BM_ShardedCallMix/%u/%u",
                            &subscribers, &workers) == 2) {
       for (MixScale& m : mix) {
-        if (m.subscribers != subscribers || (workers != 1 && workers != 8)) {
-          continue;
-        }
+        if (m.subscribers != subscribers) continue;
         const double rate = counter_rate(run, "calls/s");
-        (workers == 1 ? m.w1 : m.w8) = rate;
+        if (workers == 1) m.w1 = rate;
+        if (workers == 4) m.w4 = rate;
+        if (workers == 8) m.w8 = rate;
         report.add(std::string("sharded_call_mix_") + m.scale + "_" +
                        std::to_string(workers) + "w",
                    "calls_per_s", "1/s", rate);
@@ -409,9 +412,13 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
     }
   }
   for (const MixScale& m : mix) {
-    if (m.w1 > 0.0 && m.w8 > 0.0) {
-      report.add(std::string("sharded_call_mix_") + m.scale,
-                 "speedup_8w_over_1w", "ratio", m.w8 / m.w1);
+    if (m.w1 <= 0.0) continue;
+    const std::string scenario = std::string("sharded_call_mix_") + m.scale;
+    if (m.w4 > 0.0) {
+      report.add(scenario, "speedup_4w_over_1w", "ratio", m.w4 / m.w1);
+    }
+    if (m.w8 > 0.0) {
+      report.add(scenario, "speedup_8w_over_1w", "ratio", m.w8 / m.w1);
     }
   }
 }

@@ -122,13 +122,52 @@ bool request_like(const std::set<std::string>& names, const std::string& name) {
   return names.contains(name + "_ack");
 }
 
-// --- rule: sharding ---------------------------------------------------------
+// --- source scans: sharding, dispatch ---------------------------------------
 
-// Protocol directories scanned for cross-node shortcuts.  src/sim is
-// deliberately absent: the engine (and the fault injector inside it) owns
-// the only legitimate direct handler invocations.
-constexpr const char* kShardingDirs[] = {"gsm",     "gprs",  "h323", "pstn",
+// Protocol directories scanned as text.  src/sim is deliberately absent: the
+// engine (and the fault injector inside it) owns the only legitimate direct
+// handler invocations, and msg_cast's debug cross-check is the only
+// legitimate message dynamic_cast.
+constexpr const char* kProtocolDirs[] = {"gsm",     "gprs",  "h323", "pstn",
                                          "tr23821", "vgprs", "voice"};
+
+/// Calls `check(rel_path, text)` for every .cpp/.hpp under kProtocolDirs,
+/// reporting a missing directory, an unreadable file or an empty scan under
+/// `family`.
+template <typename Check>
+void scan_protocol_sources(const std::string& source_root,
+                           const std::string& family, Report& report,
+                           Check check) {
+  namespace fs = std::filesystem;
+  const fs::path root = source_root;
+  std::size_t scanned = 0;
+  for (const char* dir : kProtocolDirs) {
+    const fs::path subtree = root / dir;
+    if (!fs::is_directory(subtree)) {
+      report.fail(family, "protocol directory '" + std::string(dir) +
+                              "' missing under " + root.string());
+      continue;
+    }
+    for (const auto& entry : fs::recursive_directory_iterator(subtree)) {
+      if (!entry.is_regular_file()) continue;
+      const std::string ext = entry.path().extension().string();
+      if (ext != ".cpp" && ext != ".hpp") continue;
+      std::ifstream in(entry.path());
+      if (!in.good()) {
+        report.fail(family, "cannot read " + entry.path().string());
+        continue;
+      }
+      std::ostringstream text;
+      text << in.rdbuf();
+      check(fs::relative(entry.path(), root).generic_string(), text.str());
+      ++scanned;
+    }
+  }
+  if (scanned == 0) {
+    report.fail(family, "no protocol sources found under " + root.string() +
+                            " — wrong source root?");
+  }
+}
 
 // Another node's handlers may only ever be entered by the engine.
 constexpr std::string_view kShardingHandlers[] = {
@@ -569,37 +608,37 @@ void check_sharding_text(const std::string& rel_path, std::string_view text,
 }
 
 void check_sharding(const std::string& source_root, Report& report) {
-  namespace fs = std::filesystem;
-  const fs::path root = source_root;
-  std::size_t scanned = 0;
-  for (const char* dir : kShardingDirs) {
-    const fs::path subtree = root / dir;
-    if (!fs::is_directory(subtree)) {
-      report.fail("sharding", "protocol directory '" + std::string(dir) +
-                                  "' missing under " + root.string());
-      continue;
-    }
-    for (const auto& entry : fs::recursive_directory_iterator(subtree)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext != ".cpp" && ext != ".hpp") continue;
-      std::ifstream in(entry.path());
-      if (!in.good()) {
-        report.fail("sharding", "cannot read " + entry.path().string());
-        continue;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      check_sharding_text(
-          fs::relative(entry.path(), root).generic_string(), text.str(),
-          report);
-      ++scanned;
-    }
+  scan_protocol_sources(source_root, "sharding", report,
+                        [&report](const std::string& rel_path,
+                                  std::string_view text) {
+                          check_sharding_text(rel_path, text, report);
+                        });
+}
+
+void check_dispatch_text(const std::string& rel_path, std::string_view text,
+                         Report& report) {
+  constexpr std::string_view kCast = "dynamic_cast<const ";
+  for (std::size_t pos = text.find(kCast); pos != std::string_view::npos;
+       pos = text.find(kCast, pos + 1)) {
+    const std::size_t begin = pos + kCast.size();
+    const std::size_t close = text.find('>', begin);
+    if (close == std::string_view::npos) break;
+    const std::string_view target = text.substr(begin, close - begin);
+    if (!target.ends_with('*')) continue;
+    const std::string type(target.substr(0, target.size() - 1));
+    report.fail_at("dispatch", rel_path, line_of(text, pos),
+                   "'dynamic_cast<const " + type +
+                       "*>' puts RTTI on the delivery path — match messages "
+                       "with msg_cast<" + type + ">()");
   }
-  if (scanned == 0) {
-    report.fail("sharding", "no protocol sources found under " +
-                                root.string() + " — wrong source root?");
-  }
+}
+
+void check_dispatch(const std::string& source_root, Report& report) {
+  scan_protocol_sources(source_root, "dispatch", report,
+                        [&report](const std::string& rel_path,
+                                  std::string_view text) {
+                          check_dispatch_text(rel_path, text, report);
+                        });
 }
 
 // --- self-test seeds --------------------------------------------------------
@@ -721,6 +760,22 @@ std::vector<RuleFamily> lint_rule_families(const std::string& source_root) {
        // and the chain pattern, provision() trips the chain pattern; the
        // name() chain and the exempted line must stay clean.
        3, 3});
+  families.push_back(
+      {"dispatch",
+       [source_root](Report& r) { check_dispatch(source_root, r); },
+       [](Report& r) {
+         const std::string seeded =
+             "void Bad::on_message(const Envelope& env) {\n"
+             "  const Message* m = env.msg.get();\n"
+             "  if (const auto* s = dynamic_cast<const UmSetup*>(m)) {\n"
+             "    handle(*s);\n"
+             "  }\n"
+             "  if (const auto* a = msg_cast<UmAlerting>(m)) handle(*a);\n"
+             "}\n";
+         check_dispatch_text("seeded.cpp", seeded, r);
+       },
+       // Exactly 1 expected: the RTTI rung; the msg_cast rung stays clean.
+       1, 1});
   return families;
 }
 

@@ -30,10 +30,14 @@ void check_fsm(const MessageRegistry& reg,
 void check_sharding_text(const std::string& rel_path, std::string_view text,
                          Report& report);
 void check_sharding(const std::string& source_root, Report& report);
+void check_dispatch_text(const std::string& rel_path, std::string_view text,
+                         Report& report);
+void check_dispatch(const std::string& source_root, Report& report);
 
-/// The seven lint families with their self-test seeds, ready for
+/// The eight lint families with their self-test seeds, ready for
 /// tool_main().  `source_root` points at the protocol sources (src/) for
-/// the sharding scan.  Registers the message catalog as a side effect.
+/// the sharding and dispatch scans.  Registers the message catalog as a
+/// side effect.
 std::vector<RuleFamily> lint_rule_families(const std::string& source_root);
 
 }  // namespace vgprs::analysis

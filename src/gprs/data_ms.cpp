@@ -49,7 +49,7 @@ void GprsDataMs::on_timer(TimerId, std::uint64_t) { send_ping(); }
 void GprsDataMs::on_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (dynamic_cast<const GprsAttachAccept*>(&msg) != nullptr) {
+  if (msg_cast<GprsAttachAccept>(&msg) != nullptr) {
     if (state_ != State::kAttaching) return;
     state_ = State::kActivating;
     auto req = pool_message<ActivatePdpContextRequest>();
@@ -60,11 +60,11 @@ void GprsDataMs::on_message(const Envelope& env) {
     send(sgsn(), std::move(req));
     return;
   }
-  if (dynamic_cast<const GprsAttachReject*>(&msg) != nullptr) {
+  if (msg_cast<GprsAttachReject>(&msg) != nullptr) {
     state_ = State::kDetached;
     return;
   }
-  if (const auto* acc = dynamic_cast<const ActivatePdpContextAccept*>(&msg)) {
+  if (const auto* acc = msg_cast<ActivatePdpContextAccept>(&msg)) {
     if (state_ != State::kActivating) return;
     address_ = acc->address;
     state_ = State::kOnline;
@@ -72,26 +72,25 @@ void GprsDataMs::on_message(const Envelope& env) {
     if (pings_remaining_ > 0) send_ping();
     return;
   }
-  if (dynamic_cast<const ActivatePdpContextReject*>(&msg) != nullptr) {
+  if (msg_cast<ActivatePdpContextReject>(&msg) != nullptr) {
     // Without this the MS wedged in kActivating forever: attached but
     // never online, and a later power_on() refused to restart the attach.
     if (state_ == State::kActivating) state_ = State::kDetached;
     return;
   }
-  if (dynamic_cast<const GprsDetachRequest*>(&msg) != nullptr) {
+  if (msg_cast<GprsDetachRequest>(&msg) != nullptr) {
     // Network-initiated detach (e.g. SGSN restart recovery).
     if (state_ == State::kOnline) state_ = State::kDetached;
     return;
   }
-  if (const auto* frame = dynamic_cast<const GbUnitData*>(&msg)) {
+  if (const auto* frame = msg_cast<GbUnitData>(&msg)) {
     auto decoded = MessageRegistry::instance().decode(frame->payload);
     if (!decoded.ok()) return;
-    const auto* dgram =
-        dynamic_cast<const IpDatagram*>(decoded.value().get());
+    const auto* dgram = msg_cast<IpDatagram>(decoded.value().get());
     if (dgram == nullptr) return;
     auto inner = ip_payload(*dgram);
     if (!inner.ok()) return;
-    if (const auto* ping = dynamic_cast<const DataPing*>(inner.value().get());
+    if (const auto* ping = msg_cast<DataPing>(inner.value().get());
         ping != nullptr && ping->response) {
       ++echoes_;
       rtt_.add(SimDuration::micros(now().count_micros() - ping->origin_us));
@@ -103,11 +102,11 @@ void GprsDataMs::on_message(const Envelope& env) {
 }
 
 void EchoServer::on_message(const Envelope& env) {
-  const auto* dgram = dynamic_cast<const IpDatagram*>(env.msg.get());
+  const auto* dgram = msg_cast<IpDatagram>(env.msg.get());
   if (dgram == nullptr) return;
   auto inner = ip_payload(*dgram);
   if (!inner.ok()) return;
-  const auto* ping = dynamic_cast<const DataPing*>(inner.value().get());
+  const auto* ping = msg_cast<DataPing>(inner.value().get());
   if (ping == nullptr || ping->response) return;
   ++served_;
   DataPing echo = *ping;

@@ -38,8 +38,7 @@ void Ggsn::handle_control(const IpDatagramInfo& dgram) {
                            << inner.error().to_string());
     return;
   }
-  if (const auto* act =
-          dynamic_cast<const GgsnActivationRequest*>(inner.value().get())) {
+  if (const auto* act = msg_cast<GgsnActivationRequest>(inner.value().get())) {
     // TR 23.821: the gatekeeper asks us to establish a routing path toward
     // an idle subscriber.  Find the serving SGSN via the HLR (Gc) and fire
     // a PDU notification so the MS activates its (static) PDP address.
@@ -56,8 +55,7 @@ void Ggsn::handle_control(const IpDatagramInfo& dgram) {
 void Ggsn::on_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* req =
-          dynamic_cast<const GtpCreatePdpContextRequest*>(&msg)) {
+  if (const auto* req = msg_cast<GtpCreatePdpContextRequest>(&msg)) {
     IpAddress address = req->requested_address;
     if (!address.valid()) {
       auto it = static_addresses_.find(req->imsi);
@@ -110,8 +108,7 @@ void Ggsn::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* del =
-          dynamic_cast<const GtpDeletePdpContextRequest*>(&msg)) {
+  if (const auto* del = msg_cast<GtpDeletePdpContextRequest>(&msg)) {
     auto it = contexts_.find(key(del->imsi, del->nsapi));
     if (it != contexts_.end()) {
       by_address_.erase(it->second.address);
@@ -129,7 +126,7 @@ void Ggsn::on_message(const Envelope& env) {
 
   // Uplink user plane: SGSN -> GGSN -> external network (or hairpin to
   // another PDP context).
-  if (const auto* pdu = dynamic_cast<const GtpPdu*>(&msg)) {
+  if (const auto* pdu = msg_cast<GtpPdu>(&msg)) {
     auto it = by_teid_.find(pdu->teid.value());
     if (it == by_teid_.end()) {
       VG_WARN("ggsn", name() << ": PDU on unknown " << pdu->teid.to_string());
@@ -137,7 +134,7 @@ void Ggsn::on_message(const Envelope& env) {
     }
     auto decoded = MessageRegistry::instance().decode(pdu->payload);
     if (!decoded.ok()) return;
-    const auto* dgram = dynamic_cast<const IpDatagram*>(decoded.value().get());
+    const auto* dgram = msg_cast<IpDatagram>(decoded.value().get());
     if (dgram == nullptr) return;
     ++pdus_forwarded_;
     if (dgram->dst == config_.ggsn_address) {
@@ -158,7 +155,7 @@ void Ggsn::on_message(const Envelope& env) {
   }
 
   // Downlink from the external network.
-  if (const auto* dgram = dynamic_cast<const IpDatagram*>(&msg)) {
+  if (const auto* dgram = msg_cast<IpDatagram>(&msg)) {
     if (dgram->dst == config_.ggsn_address) {
       handle_control(*dgram);
       return;
@@ -178,8 +175,7 @@ void Ggsn::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* ack =
-          dynamic_cast<const MapSendRoutingInfoForGprsAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapSendRoutingInfoForGprsAck>(&msg)) {
     auto pending = pending_activations_.find(ack->imsi);
     if (pending == pending_activations_.end()) return;
     auto fail = [&] {
@@ -213,7 +209,7 @@ void Ggsn::on_message(const Envelope& env) {
     return;
   }
 
-  if (dynamic_cast<const GtpPduNotificationResponse*>(&msg) != nullptr) {
+  if (msg_cast<GtpPduNotificationResponse>(&msg) != nullptr) {
     return;
   }
 

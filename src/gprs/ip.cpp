@@ -30,7 +30,7 @@ Result<std::unique_ptr<Message>> ip_payload(const IpDatagramInfo& dgram) {
 }
 
 void IpRouter::on_message(const Envelope& env) {
-  const auto* dgram = dynamic_cast<const IpDatagram*>(env.msg.get());
+  const auto* dgram = msg_cast<IpDatagram>(env.msg.get());
   if (dgram == nullptr) {
     VG_WARN("ip", name() << ": non-IP message " << env.msg->name());
     return;

@@ -27,7 +27,7 @@ void Sgsn::on_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
   // --- GPRS mobility management ---------------------------------------------
-  if (const auto* req = dynamic_cast<const GprsAttachRequest*>(&msg)) {
+  if (const auto* req = msg_cast<GprsAttachRequest>(&msg)) {
     if (const Attachment* dup = attachments_.find(req->imsi);
         dup != nullptr && dup->holder == env.from) {
       // Duplicate attach from the current holder (retransmission or a
@@ -71,7 +71,7 @@ void Sgsn::on_message(const Envelope& env) {
         });
     return;
   }
-  if (const auto* ack = dynamic_cast<const MapUpdateGprsLocationAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapUpdateGprsLocationAck>(&msg)) {
     retx_.ack(retx_key(RetxKind::kMapGprsUl, ack->imsi));
     Attachment* at = attachments_.find(ack->imsi);
     if (at == nullptr) return;
@@ -93,7 +93,7 @@ void Sgsn::on_message(const Envelope& env) {
     send(at->holder, std::move(acc));
     return;
   }
-  if (const auto* req = dynamic_cast<const GprsDetachRequest*>(&msg)) {
+  if (const auto* req = msg_cast<GprsDetachRequest>(&msg)) {
     // A detach is only honoured from the subscriber's *current* Gb-side
     // holder: after an inter-VMSC move the old VMSC's deferred detach must
     // not tear down the attachment the new VMSC just established.
@@ -141,8 +141,7 @@ void Sgsn::on_message(const Envelope& env) {
   }
 
   // --- session management -----------------------------------------------------
-  if (const auto* req =
-          dynamic_cast<const ActivatePdpContextRequest*>(&msg)) {
+  if (const auto* req = msg_cast<ActivatePdpContextRequest>(&msg)) {
     const Attachment* at = attachments_.find(req->imsi);
     if (at == nullptr || !at->attached) {
       auto rej = pool_message<ActivatePdpContextReject>();
@@ -216,8 +215,7 @@ void Sgsn::on_message(const Envelope& env) {
         });
     return;
   }
-  if (const auto* rsp =
-          dynamic_cast<const GtpCreatePdpContextResponse*>(&msg)) {
+  if (const auto* rsp = msg_cast<GtpCreatePdpContextResponse>(&msg)) {
     retx_.ack(retx_key(RetxKind::kGtpCreate, rsp->imsi, rsp->nsapi));
     PdpContext* found = contexts_.find(key(rsp->imsi, rsp->nsapi));
     if (found == nullptr) return;
@@ -247,8 +245,7 @@ void Sgsn::on_message(const Envelope& env) {
     send(ctx.holder, std::move(acc));
     return;
   }
-  if (const auto* req =
-          dynamic_cast<const DeactivatePdpContextRequest*>(&msg)) {
+  if (const auto* req = msg_cast<DeactivatePdpContextRequest>(&msg)) {
     PdpContext* ctx = contexts_.find(key(req->imsi, req->nsapi));
     if (ctx == nullptr) {
       auto acc = pool_message<DeactivatePdpContextAccept>();
@@ -294,8 +291,7 @@ void Sgsn::on_message(const Envelope& env) {
     // Deletion confirmation arrives as GTP_Delete_PDP_Context_Response.
     return;
   }
-  if (const auto* rsp =
-          dynamic_cast<const GtpDeletePdpContextResponse*>(&msg)) {
+  if (const auto* rsp = msg_cast<GtpDeletePdpContextResponse>(&msg)) {
     retx_.ack(retx_key(RetxKind::kGtpDelete, rsp->imsi, rsp->nsapi));
     const PdpContext* ctx = contexts_.find(key(rsp->imsi, rsp->nsapi));
     if (ctx == nullptr) return;
@@ -313,8 +309,7 @@ void Sgsn::on_message(const Envelope& env) {
   }
 
   // --- network-initiated activation (3G TR 23.821 termination path) ----------
-  if (const auto* note =
-          dynamic_cast<const GtpPduNotificationRequest*>(&msg)) {
+  if (const auto* note = msg_cast<GtpPduNotificationRequest>(&msg)) {
     auto rsp = pool_message<GtpPduNotificationResponse>();
     rsp->imsi = note->imsi;
     rsp->address = note->address;
@@ -334,7 +329,7 @@ void Sgsn::on_message(const Envelope& env) {
   }
 
   // --- user plane ---------------------------------------------------------------
-  if (const auto* up = dynamic_cast<const GbUnitData*>(&msg)) {
+  if (const auto* up = msg_cast<GbUnitData>(&msg)) {
     // Uplink: pick the sender's context whose PDP address matches the
     // datagram source; fall back to the subscriber's other active context.
     // Two direct probes of the NSAPIs in use (5 = signaling, 6 = voice) —
@@ -342,8 +337,7 @@ void Sgsn::on_message(const Envelope& env) {
     auto decoded = MessageRegistry::instance().decode(up->payload);
     IpAddress src;
     if (decoded.ok()) {
-      if (const auto* dgram =
-              dynamic_cast<const IpDatagram*>(decoded.value().get())) {
+      if (const auto* dgram = msg_cast<IpDatagram>(decoded.value().get())) {
         src = dgram->src;
       }
     }
@@ -368,7 +362,7 @@ void Sgsn::on_message(const Envelope& env) {
     send(ggsn(), std::move(pdu));
     return;
   }
-  if (const auto* pdu = dynamic_cast<const GtpPdu*>(&msg)) {
+  if (const auto* pdu = msg_cast<GtpPdu>(&msg)) {
     const std::uint64_t* ctx_key = by_teid_.find(pdu->teid.value());
     if (ctx_key == nullptr) {
       VG_WARN("sgsn", name() << ": downlink PDU for unknown "

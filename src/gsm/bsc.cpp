@@ -34,7 +34,7 @@ NodeId Bsc::bts_for(const Imsi& imsi) const {
 
 void Bsc::on_message(const Envelope& env) {
   // --- radio resource management, handled locally --------------------------
-  if (const auto* cr = dynamic_cast<const AbisChannelRequest*>(env.msg.get())) {
+  if (const auto* cr = msg_cast<AbisChannelRequest>(env.msg.get())) {
     note_ms(cr->imsi, env.from);
     if (sdcch_in_use_ >= config_.sdcch_channels) {
       VG_WARN("bsc", name() << ": SDCCH congestion, request from "
@@ -48,8 +48,7 @@ void Bsc::on_message(const Envelope& env) {
     send(env.from, std::move(out));
     return;
   }
-  if (const auto* ar =
-          dynamic_cast<const AAssignmentRequest*>(env.msg.get())) {
+  if (const auto* ar = msg_cast<AAssignmentRequest>(env.msg.get())) {
     if (tch_in_use_ >= config_.tch_channels) {
       VG_WARN("bsc", name() << ": TCH congestion for " << ar->imsi.to_string());
       return;
@@ -64,7 +63,7 @@ void Bsc::on_message(const Envelope& env) {
     send(bts, std::move(out));
     return;
   }
-  if (const auto* clear = dynamic_cast<const AClearCommand*>(env.msg.get())) {
+  if (const auto* clear = msg_cast<AClearCommand>(env.msg.get())) {
     if (sdcch_in_use_ > 0) --sdcch_in_use_;
     if (tch_in_use_ > 0) --tch_in_use_;
     auto out = pool_message<AClearComplete>();
@@ -73,7 +72,7 @@ void Bsc::on_message(const Envelope& env) {
     send(msc(), std::move(out));
     return;
   }
-  if (const auto* pg = dynamic_cast<const APaging*>(env.msg.get())) {
+  if (const auto* pg = msg_cast<APaging>(env.msg.get())) {
     // Page every cell of the location area (all BTSs of this BSC).
     for (const auto& [cell, bts] : bts_by_cell_) {
       (void)cell;
@@ -83,8 +82,7 @@ void Bsc::on_message(const Envelope& env) {
     }
     return;
   }
-  if (const auto* hreq =
-          dynamic_cast<const AHandoverRequest*>(env.msg.get())) {
+  if (const auto* hreq = msg_cast<AHandoverRequest>(env.msg.get())) {
     // Target-BSC side of inter-system handoff: reserve a channel in the
     // requested cell and acknowledge to the requesting MSC.
     auto ack = pool_message<AHandoverRequestAck>();
@@ -101,8 +99,7 @@ void Bsc::on_message(const Envelope& env) {
     send(env.from, std::move(ack));
     return;
   }
-  if (const auto* hacc =
-          dynamic_cast<const AbisHandoverAccess*>(env.msg.get())) {
+  if (const auto* hacc = msg_cast<AbisHandoverAccess>(env.msg.get())) {
     // The MS arrived on our radio resources: adopt it and tell the MSC.
     note_ms(hacc->imsi, env.from);
     auto out = pool_message<AHandoverDetect>();

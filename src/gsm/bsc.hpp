@@ -49,7 +49,7 @@ class Bsc final : public Node {
 
   template <typename From, typename To>
   bool relay(const Envelope& env, NodeId dest) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
+    const auto* m = msg_cast<From>(env.msg.get());
     if (m == nullptr) return false;
     auto out = pool_message<To>();
     static_cast<typename To::payload_type&>(*out) =
@@ -60,7 +60,7 @@ class Bsc final : public Node {
 
   template <typename From, typename To>
   bool relay_up(const Envelope& env) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
+    const auto* m = msg_cast<From>(env.msg.get());
     if (m == nullptr) return false;
     note_ms(m->imsi, env.from);
     return relay<From, To>(env, msc());
@@ -68,7 +68,7 @@ class Bsc final : public Node {
 
   template <typename From, typename To>
   bool relay_down(const Envelope& env) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
+    const auto* m = msg_cast<From>(env.msg.get());
     if (m == nullptr) return false;
     NodeId bts = bts_for(m->imsi);
     if (!bts.valid()) return true;  // unknown MS: swallow

@@ -20,8 +20,7 @@ NodeId Bts::ms_node(const Imsi& imsi) const {
 void Bts::on_message(const Envelope& env) {
   // Stamp the serving cell into uplink location/paging payloads before the
   // generic relay (the MS does not know the cell identity; the BTS does).
-  if (const auto* lu =
-          dynamic_cast<const UmLocationUpdateRequest*>(env.msg.get())) {
+  if (const auto* lu = msg_cast<UmLocationUpdateRequest>(env.msg.get())) {
     note_ms(lu->imsi, env.from);
     auto out = pool_message<AbisLocationUpdate>();
     static_cast<LocationUpdateInfo&>(*out) =
@@ -31,7 +30,7 @@ void Bts::on_message(const Envelope& env) {
     send(bsc(), std::move(out));
     return;
   }
-  if (const auto* pr = dynamic_cast<const UmPagingResponse*>(env.msg.get())) {
+  if (const auto* pr = msg_cast<UmPagingResponse>(env.msg.get())) {
     note_ms(pr->imsi, env.from);
     auto out = pool_message<AbisPagingResponse>();
     static_cast<PagingResponseInfo&>(*out) =
@@ -40,7 +39,7 @@ void Bts::on_message(const Envelope& env) {
     send(bsc(), std::move(out));
     return;
   }
-  if (const auto* ha = dynamic_cast<const UmHandoverAccess*>(env.msg.get())) {
+  if (const auto* ha = msg_cast<UmHandoverAccess>(env.msg.get())) {
     // Handover access arrives at the *target* BTS: adopt the MS.
     note_ms(ha->imsi, env.from);
     relay<UmHandoverAccess, AbisHandoverAccess>(env, bsc());

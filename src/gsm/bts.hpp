@@ -39,7 +39,7 @@ class Bts final : public Node {
   /// Relays env's message as a `To` carrying the same payload.
   template <typename From, typename To>
   bool relay(const Envelope& env, NodeId dest) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
+    const auto* m = msg_cast<From>(env.msg.get());
     if (m == nullptr) return false;
     auto out = pool_message<To>();
     static_cast<typename To::payload_type&>(*out) =
@@ -51,7 +51,7 @@ class Bts final : public Node {
   /// Uplink variant: also records the MS node for downlink addressing.
   template <typename From, typename To>
   bool relay_up(const Envelope& env) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
+    const auto* m = msg_cast<From>(env.msg.get());
     if (m == nullptr) return false;
     note_ms(m->imsi, env.from);
     return relay<From, To>(env, bsc());
@@ -59,7 +59,7 @@ class Bts final : public Node {
 
   template <typename From, typename To>
   bool relay_down(const Envelope& env) {
-    const auto* m = dynamic_cast<const From*>(env.msg.get());
+    const auto* m = msg_cast<From>(env.msg.get());
     if (m == nullptr) return false;
     NodeId ms = ms_node(m->imsi);
     if (!ms.valid()) return true;  // MS left the cell; drop

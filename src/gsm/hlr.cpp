@@ -31,7 +31,7 @@ bool Hlr::interrogation_allowed(NodeId requester) {
 void Hlr::on_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* req = dynamic_cast<const MapSendAuthInfo*>(&msg)) {
+  if (const auto* req = msg_cast<MapSendAuthInfo>(&msg)) {
     const SubscriberRecord* rec = records_.find(req->imsi);
     auto ack = pool_message<MapSendAuthInfoAck>();
     ack->imsi = req->imsi;
@@ -45,7 +45,7 @@ void Hlr::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* ul = dynamic_cast<const MapUpdateLocation*>(&msg)) {
+  if (const auto* ul = msg_cast<MapUpdateLocation>(&msg)) {
     SubscriberRecord* rec = records_.find(ul->imsi);
     if (rec == nullptr) {
       auto nack = pool_message<MapUpdateLocationAck>();
@@ -73,7 +73,7 @@ void Hlr::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* ack = dynamic_cast<const MapInsertSubsDataAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapInsertSubsDataAck>(&msg)) {
     const PendingUpdate* pending = pending_updates_.find(ack->imsi);
     if (pending == nullptr) return;
     auto done = pool_message<MapUpdateLocationAck>();
@@ -84,12 +84,11 @@ void Hlr::on_message(const Envelope& env) {
     return;
   }
 
-  if (dynamic_cast<const MapCancelLocationAck*>(&msg) != nullptr) {
+  if (msg_cast<MapCancelLocationAck>(&msg) != nullptr) {
     return;  // nothing pending on it
   }
 
-  if (const auto* sri =
-          dynamic_cast<const MapSendRoutingInformation*>(&msg)) {
+  if (const auto* sri = msg_cast<MapSendRoutingInformation>(&msg)) {
     auto imsi = imsi_of(sri->msisdn);
     const SubscriberRecord* rec =
         imsi.has_value() ? record(*imsi) : nullptr;
@@ -126,8 +125,7 @@ void Hlr::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* prn_ack =
-          dynamic_cast<const MapProvideRoamingNumberAck*>(&msg)) {
+  if (const auto* prn_ack = msg_cast<MapProvideRoamingNumberAck>(&msg)) {
     const PendingSri* pending = pending_sri_.find(prn_ack->imsi);
     if (pending == nullptr) return;
     const SubscriberRecord* rec = record(prn_ack->imsi);
@@ -142,8 +140,7 @@ void Hlr::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* req =
-          dynamic_cast<const MapSendRoutingInfoForGprs*>(&msg)) {
+  if (const auto* req = msg_cast<MapSendRoutingInfoForGprs>(&msg)) {
     auto ack = pool_message<MapSendRoutingInfoForGprsAck>();
     ack->imsi = req->imsi;
     const SubscriberRecord* rec = record(req->imsi);
@@ -156,7 +153,7 @@ void Hlr::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* gprs = dynamic_cast<const MapUpdateGprsLocation*>(&msg)) {
+  if (const auto* gprs = msg_cast<MapUpdateGprsLocation>(&msg)) {
     auto ack = pool_message<MapUpdateGprsLocationAck>();
     ack->imsi = gprs->imsi;
     SubscriberRecord* rec = records_.find(gprs->imsi);

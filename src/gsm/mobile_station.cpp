@@ -206,21 +206,21 @@ void MobileStation::on_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
   // -- security procedures: answered in any state ----------------------------
-  if (const auto* auth = dynamic_cast<const UmAuthRequest*>(&msg)) {
+  if (const auto* auth = msg_cast<UmAuthRequest>(&msg)) {
     auto rsp = pool_message<UmAuthResponse>();
     rsp->imsi = config_.imsi;
     rsp->sres = gsm_a3_sres(config_.ki, auth->rand);
     send(env.from, std::move(rsp));
     return;
   }
-  if (dynamic_cast<const UmCipherModeCommand*>(&msg) != nullptr) {
+  if (msg_cast<UmCipherModeCommand>(&msg) != nullptr) {
     auto rsp = pool_message<UmCipherModeComplete>();
     rsp->imsi = config_.imsi;
     send(env.from, std::move(rsp));
     return;
   }
 
-  if (const auto* rej = dynamic_cast<const UmLocationUpdateReject*>(&msg)) {
+  if (const auto* rej = msg_cast<UmLocationUpdateReject>(&msg)) {
     if (state_ == State::kRegistering) {
       close_state_span(SpanOutcome::kRejected);
       enter(State::kDetached);
@@ -231,7 +231,7 @@ void MobileStation::on_message(const Envelope& env) {
     }
     return;
   }
-  if (const auto* rej = dynamic_cast<const UmCmServiceReject*>(&msg)) {
+  if (const auto* rej = msg_cast<UmCmServiceReject>(&msg)) {
     if (state_ == State::kMoService || state_ == State::kMoSetup) {
       close_state_span(SpanOutcome::kRejected);
       enter(State::kIdle);
@@ -258,7 +258,7 @@ void MobileStation::on_message(const Envelope& env) {
   }
 
   // -- registration -----------------------------------------------------------
-  if (const auto* acc = dynamic_cast<const UmLocationUpdateAccept*>(&msg)) {
+  if (const auto* acc = msg_cast<UmLocationUpdateAccept>(&msg)) {
     if (state_ != State::kRegistering) return;
     close_state_span(SpanOutcome::kOk);
     tmsi_ = acc->new_tmsi;
@@ -268,7 +268,7 @@ void MobileStation::on_message(const Envelope& env) {
   }
 
   // -- channel management ------------------------------------------------------
-  if (dynamic_cast<const UmImmediateAssignment*>(&msg) != nullptr) {
+  if (msg_cast<UmImmediateAssignment>(&msg) != nullptr) {
     if (state_ == State::kMoChannel) {
       enter(State::kMoService);
       auto req = pool_message<UmCmServiceRequest>();
@@ -285,7 +285,7 @@ void MobileStation::on_message(const Envelope& env) {
     }
     return;
   }
-  if (dynamic_cast<const UmCmServiceAccept*>(&msg) != nullptr) {
+  if (msg_cast<UmCmServiceAccept>(&msg) != nullptr) {
     if (state_ != State::kMoService) return;
     enter(State::kMoSetup);
     auto setup = pool_message<UmSetup>();
@@ -296,7 +296,7 @@ void MobileStation::on_message(const Envelope& env) {
     start_step(std::move(setup));
     return;
   }
-  if (const auto* asg = dynamic_cast<const UmAssignmentCommand*>(&msg)) {
+  if (const auto* asg = msg_cast<UmAssignmentCommand>(&msg)) {
     auto done = pool_message<UmAssignmentComplete>();
     done->imsi = config_.imsi;
     done->call_ref = asg->call_ref;
@@ -306,7 +306,7 @@ void MobileStation::on_message(const Envelope& env) {
   }
 
   // -- mobile-terminated call ---------------------------------------------------
-  if (const auto* page = dynamic_cast<const UmPagingRequest*>(&msg)) {
+  if (const auto* page = msg_cast<UmPagingRequest>(&msg)) {
     bool mine = page->imsi == config_.imsi ||
                 (page->tmsi.valid() && page->tmsi == tmsi_);
     if (!mine || state_ != State::kIdle) return;
@@ -317,7 +317,7 @@ void MobileStation::on_message(const Envelope& env) {
     start_step(std::move(req));
     return;
   }
-  if (const auto* setup = dynamic_cast<const UmSetup*>(&msg)) {
+  if (const auto* setup = msg_cast<UmSetup>(&msg)) {
     if (state_ != State::kMtPaged) return;
     call_ref_ = setup->call_ref;
     enter(State::kMtRinging);
@@ -336,17 +336,17 @@ void MobileStation::on_message(const Envelope& env) {
   }
 
   // -- call progress (MO side) ---------------------------------------------------
-  if (dynamic_cast<const UmCallProceeding*>(&msg) != nullptr) {
+  if (msg_cast<UmCallProceeding>(&msg) != nullptr) {
     return;  // informational
   }
-  if (dynamic_cast<const UmAlerting*>(&msg) != nullptr) {
+  if (msg_cast<UmAlerting>(&msg) != nullptr) {
     if (state_ == State::kMoSetup) {
       enter(State::kMoRinging);
       if (on_ringback) on_ringback(call_ref_);
     }
     return;
   }
-  if (dynamic_cast<const UmConnect*>(&msg) != nullptr) {
+  if (msg_cast<UmConnect>(&msg) != nullptr) {
     if (state_ == State::kMoRinging || state_ == State::kMoSetup) {
       close_state_span(SpanOutcome::kOk);
       auto ack = pool_message<UmConnectAck>();
@@ -359,7 +359,7 @@ void MobileStation::on_message(const Envelope& env) {
     }
     return;
   }
-  if (dynamic_cast<const UmConnectAck*>(&msg) != nullptr) {
+  if (msg_cast<UmConnectAck>(&msg) != nullptr) {
     if (state_ == State::kMtRinging) {
       enter(State::kConnected);
       if (on_connected) on_connected(call_ref_);
@@ -369,7 +369,7 @@ void MobileStation::on_message(const Envelope& env) {
   }
 
   // -- call clearing ----------------------------------------------------------------
-  if (const auto* disc = dynamic_cast<const UmDisconnect*>(&msg)) {
+  if (const auto* disc = msg_cast<UmDisconnect>(&msg)) {
     // Network-initiated clearing: legal in any in-call state, including
     // the MT pre-ring states (the caller may abandon during paging).
     if (state_ == State::kConnected || state_ == State::kMtRinging ||
@@ -388,7 +388,7 @@ void MobileStation::on_message(const Envelope& env) {
     }
     return;
   }
-  if (const auto* rel = dynamic_cast<const UmRelease*>(&msg)) {
+  if (const auto* rel = msg_cast<UmRelease>(&msg)) {
     // Network confirms MS-initiated disconnect.
     if (state_ == State::kReleasing) {
       close_state_span(SpanOutcome::kOk);
@@ -401,7 +401,7 @@ void MobileStation::on_message(const Envelope& env) {
     }
     return;
   }
-  if (const auto* rc = dynamic_cast<const UmReleaseComplete*>(&msg)) {
+  if (const auto* rc = msg_cast<UmReleaseComplete>(&msg)) {
     if (state_ == State::kReleasing) {
       close_state_span(SpanOutcome::kOk);
       enter(State::kIdle);
@@ -411,7 +411,7 @@ void MobileStation::on_message(const Envelope& env) {
   }
 
   // -- handover ----------------------------------------------------------------------
-  if (const auto* ho = dynamic_cast<const UmHandoverCommand*>(&msg)) {
+  if (const auto* ho = msg_cast<UmHandoverCommand>(&msg)) {
     auto it = neighbor_bts_.find(ho->target_cell);
     if (it == neighbor_bts_.end()) {
       fail("handover to unknown cell " + ho->target_cell.to_string());
@@ -430,7 +430,7 @@ void MobileStation::on_message(const Envelope& env) {
   }
 
   // -- voice --------------------------------------------------------------------------
-  if (const auto* vf = dynamic_cast<const UmVoiceFrame*>(&msg)) {
+  if (const auto* vf = msg_cast<UmVoiceFrame>(&msg)) {
     ++voice_rx_;
     voice_latency_.add(
         SimDuration::micros(now().count_micros() - vf->origin_us));

@@ -122,13 +122,12 @@ void GsmMsc::handle_incoming_iam(const Envelope& env, const IsupIam& iam) {
 bool GsmMsc::on_unhandled(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* iam = dynamic_cast<const IsupIam*>(&msg)) {
+  if (const auto* iam = msg_cast<IsupIam>(&msg)) {
     handle_incoming_iam(env, *iam);
     return true;
   }
 
-  if (const auto* ack =
-          dynamic_cast<const MapSendInfoForIncomingCallAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapSendInfoForIncomingCallAck>(&msg)) {
     auto it = pending_msrn_.find(ack->msrn);
     if (it == pending_msrn_.end()) return true;
     PendingIncoming pending = it->second;
@@ -153,8 +152,7 @@ bool GsmMsc::on_unhandled(const Envelope& env) {
     return true;
   }
 
-  if (const auto* ack =
-          dynamic_cast<const MapSendRoutingInformationAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapSendRoutingInformationAck>(&msg)) {
     auto it = pending_sri_.find(ack->msisdn);
     if (it == pending_sri_.end()) return true;
     PendingIncoming pending = it->second;
@@ -182,7 +180,7 @@ bool GsmMsc::on_unhandled(const Envelope& env) {
     return true;
   }
 
-  if (const auto* acm = dynamic_cast<const IsupAcm*>(&msg)) {
+  if (const auto* acm = msg_cast<IsupAcm>(&msg)) {
     if (relay_transit(env, *acm)) return true;
     auto it = call_by_cic_.find(acm->cic);
     if (it == call_by_cic_.end()) return true;
@@ -192,7 +190,7 @@ bool GsmMsc::on_unhandled(const Envelope& env) {
     }
     return true;
   }
-  if (const auto* anm = dynamic_cast<const IsupAnm*>(&msg)) {
+  if (const auto* anm = msg_cast<IsupAnm>(&msg)) {
     if (relay_transit(env, *anm)) return true;
     auto it = call_by_cic_.find(anm->cic);
     if (it == call_by_cic_.end()) return true;
@@ -202,7 +200,7 @@ bool GsmMsc::on_unhandled(const Envelope& env) {
     }
     return true;
   }
-  if (const auto* rel = dynamic_cast<const IsupRel*>(&msg)) {
+  if (const auto* rel = msg_cast<IsupRel>(&msg)) {
     if (relay_transit(env, *rel)) return true;
     auto rlc = pool_message<IsupRlc>();
     rlc->cic = rel->cic;
@@ -214,7 +212,7 @@ bool GsmMsc::on_unhandled(const Envelope& env) {
     }
     return true;
   }
-  if (const auto* rlc = dynamic_cast<const IsupRlc*>(&msg)) {
+  if (const auto* rlc = msg_cast<IsupRlc>(&msg)) {
     if (relay_transit(env, *rlc)) {
       auto it = transit_index_.find(rlc->cic);
       if (it != transit_index_.end()) {
@@ -227,7 +225,7 @@ bool GsmMsc::on_unhandled(const Envelope& env) {
     }
     return true;  // confirmation of our REL
   }
-  if (const auto* voice = dynamic_cast<const TrunkVoice*>(&msg)) {
+  if (const auto* voice = msg_cast<TrunkVoice>(&msg)) {
     if (relay_transit(env, *voice)) return true;
     auto it = call_by_cic_.find(voice->cic);
     if (it == call_by_cic_.end()) return true;

@@ -255,7 +255,7 @@ bool MscBase::handle_handover(const Envelope& env) {
 
   // Anchor: the serving BSC reports that the MS must move to a cell we do
   // not control.
-  if (const auto* req = dynamic_cast<const AHandoverRequired*>(&msg)) {
+  if (const auto* req = msg_cast<AHandoverRequired>(&msg)) {
     MsContext* ctx = context(req->imsi);
     if (ctx == nullptr) return true;
     auto it = remote_cells_.find(req->target_cell);
@@ -287,7 +287,7 @@ bool MscBase::handle_handover(const Envelope& env) {
   }
 
   // Target: the anchor asks us to prepare radio resources.
-  if (const auto* prep = dynamic_cast<const MapPrepareHandover*>(&msg)) {
+  if (const auto* prep = msg_cast<MapPrepareHandover>(&msg)) {
     auto it = own_cells_.find(prep->target_cell);
     auto nack = [&] {
       auto ack = pool_message<MapPrepareHandoverAck>();
@@ -322,7 +322,7 @@ bool MscBase::handle_handover(const Envelope& env) {
   }
 
   // Target: its BSC reserved (or failed to reserve) a channel.
-  if (const auto* ack = dynamic_cast<const AHandoverRequestAck*>(&msg)) {
+  if (const auto* ack = msg_cast<AHandoverRequestAck>(&msg)) {
     MsContext* ctx = context(ack->imsi);
     if (ctx == nullptr || !ctx->handed_in) return true;
     auto out = pool_message<MapPrepareHandoverAck>();
@@ -335,7 +335,7 @@ bool MscBase::handle_handover(const Envelope& env) {
   }
 
   // Anchor: resources ready at the target; command the MS over.
-  if (const auto* ack = dynamic_cast<const MapPrepareHandoverAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapPrepareHandoverAck>(&msg)) {
     MsContext* ctx = context(ack->imsi);
     if (ctx == nullptr) return true;
     if (!ack->success) {
@@ -356,13 +356,13 @@ bool MscBase::handle_handover(const Envelope& env) {
     return true;
   }
 
-  if (const auto* det = dynamic_cast<const AHandoverDetect*>(&msg)) {
+  if (const auto* det = msg_cast<AHandoverDetect>(&msg)) {
     VG_DEBUG("msc", name() << ": handover detect " << det->imsi.to_string());
     return true;
   }
 
   // Target: the MS completed the move; tell the anchor (MAP E interface).
-  if (const auto* done = dynamic_cast<const AHandoverComplete*>(&msg)) {
+  if (const auto* done = msg_cast<AHandoverComplete>(&msg)) {
     MsContext* ctx = context(done->imsi);
     if (ctx == nullptr || !ctx->handed_in) return false;
     auto end = pool_message<MapSendEndSignal>();
@@ -374,7 +374,7 @@ bool MscBase::handle_handover(const Envelope& env) {
 
   // Anchor: switch the call path onto the inter-MSC trunk and release the
   // old radio resources.  The anchor stays in the call path (Fig. 9(b)).
-  if (const auto* end = dynamic_cast<const MapSendEndSignal*>(&msg)) {
+  if (const auto* end = msg_cast<MapSendEndSignal>(&msg)) {
     MsContext* ctx = context(end->imsi);
     if (ctx == nullptr) return true;
     net().spans().close(SpanKind::kHandoff, end->imsi.value(),
@@ -399,7 +399,7 @@ bool MscBase::handle_handover(const Envelope& env) {
 bool MscBase::handle_map_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* ack = dynamic_cast<const MapSendAuthInfoAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapSendAuthInfoAck>(&msg)) {
     retx_.ack(retx_key(RetxKind::kMapAuth, ack->imsi));
     MsContext* ctx = context(ack->imsi);
     if (ctx == nullptr || ctx->step != Step::kAuthInfo) return true;
@@ -426,7 +426,7 @@ bool MscBase::handle_map_message(const Envelope& env) {
     return true;
   }
 
-  if (const auto* ack = dynamic_cast<const MapUpdateLocationAreaAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapUpdateLocationAreaAck>(&msg)) {
     retx_.ack(retx_key(RetxKind::kMapUla, ack->imsi));
     MsContext* ctx = context(ack->imsi);
     if (ctx == nullptr || ctx->step != Step::kUla) return true;
@@ -441,8 +441,7 @@ bool MscBase::handle_map_message(const Envelope& env) {
     return true;
   }
 
-  if (const auto* ack =
-          dynamic_cast<const MapSendInfoForOutgoingCallAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapSendInfoForOutgoingCallAck>(&msg)) {
     retx_.ack(retx_key(RetxKind::kMapOutCall, ack->imsi));
     MsContext* ctx = context(ack->imsi);
     if (ctx == nullptr || ctx->step != Step::kAuthorize) return true;
@@ -584,16 +583,16 @@ void MscBase::remove_subscriber(Imsi imsi) {
 void MscBase::handle_a_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* detach = dynamic_cast<const AImsiDetach*>(&msg)) {
+  if (const auto* detach = msg_cast<AImsiDetach>(&msg)) {
     remove_subscriber(detach->imsi);
     return;
   }
-  if (const auto* cancel = dynamic_cast<const MapCancelLocation*>(&msg)) {
+  if (const auto* cancel = msg_cast<MapCancelLocation>(&msg)) {
     remove_subscriber(cancel->imsi);
     return;
   }
 
-  if (const auto* lu = dynamic_cast<const ALocationUpdate*>(&msg)) {
+  if (const auto* lu = msg_cast<ALocationUpdate>(&msg)) {
     MsContext& ctx = contexts_[lu->imsi];
     ctx.imsi = lu->imsi;
     ctx.lai = lu->lai;
@@ -609,7 +608,7 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* rsp = dynamic_cast<const AAuthResponse*>(&msg)) {
+  if (const auto* rsp = msg_cast<AAuthResponse>(&msg)) {
     MsContext* ctx = context(rsp->imsi);
     if (ctx == nullptr || ctx->step != Step::kAuthChallenge) return;
     if (!ctx->has_triplet || rsp->sres != ctx->triplet.sres) {
@@ -639,14 +638,14 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* done = dynamic_cast<const ACipherModeComplete*>(&msg)) {
+  if (const auto* done = msg_cast<ACipherModeComplete>(&msg)) {
     MsContext* ctx = context(done->imsi);
     if (ctx == nullptr || ctx->step != Step::kCipher) return;
     continue_after_security(*ctx);
     return;
   }
 
-  if (const auto* req = dynamic_cast<const ACmServiceRequest*>(&msg)) {
+  if (const auto* req = msg_cast<ACmServiceRequest>(&msg)) {
     MsContext* ctx = context(req->imsi);
     if (ctx == nullptr || !ctx->registered || ctx->proc != Proc::kNone) {
       auto rej = pool_message<ACmServiceReject>();
@@ -666,7 +665,7 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* setup = dynamic_cast<const ASetup*>(&msg)) {
+  if (const auto* setup = msg_cast<ASetup>(&msg)) {
     MsContext* ctx = context(setup->imsi);
     if (ctx == nullptr || !ctx->registered) {
       // A Setup for a subscriber this switch has no registered context
@@ -700,7 +699,7 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* rsp = dynamic_cast<const APagingResponse*>(&msg)) {
+  if (const auto* rsp = msg_cast<APagingResponse>(&msg)) {
     MsContext* ctx = context(rsp->imsi);
     if (ctx == nullptr || ctx->step != Step::kPaging) return;
     ctx->cell = rsp->cell;
@@ -713,7 +712,7 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* alert = dynamic_cast<const AAlerting*>(&msg)) {
+  if (const auto* alert = msg_cast<AAlerting>(&msg)) {
     MsContext* ctx = context(alert->imsi);
     if (ctx == nullptr || ctx->proc != Proc::kMtCall ||
         ctx->step != Step::kAwaitAlert) {
@@ -724,7 +723,7 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* conn = dynamic_cast<const AConnect*>(&msg)) {
+  if (const auto* conn = msg_cast<AConnect>(&msg)) {
     MsContext* ctx = context(conn->imsi);
     if (ctx == nullptr || ctx->proc != Proc::kMtCall ||
         ctx->step != Step::kAwaitAnswer) {
@@ -743,14 +742,14 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (dynamic_cast<const AConnectAck*>(&msg) != nullptr) {
+  if (msg_cast<AConnectAck>(&msg) != nullptr) {
     return;  // MO answer acknowledgement; nothing to do
   }
-  if (dynamic_cast<const AAssignmentComplete*>(&msg) != nullptr) {
+  if (msg_cast<AAssignmentComplete>(&msg) != nullptr) {
     return;  // TCH in place
   }
 
-  if (const auto* disc = dynamic_cast<const ADisconnect*>(&msg)) {
+  if (const auto* disc = msg_cast<ADisconnect>(&msg)) {
     MsContext* ctx = context(disc->imsi);
     if (ctx == nullptr || ctx->proc == Proc::kNone) {
       // No call state — either already cleared or this MSC restarted and
@@ -777,7 +776,7 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* rel = dynamic_cast<const ARelease*>(&msg)) {
+  if (const auto* rel = msg_cast<ARelease>(&msg)) {
     MsContext* ctx = context(rel->imsi);
     if (ctx == nullptr || ctx->step != Step::kReleasingNet) return;
     auto done = pool_message<AReleaseComplete>();
@@ -788,14 +787,14 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* done = dynamic_cast<const AReleaseComplete*>(&msg)) {
+  if (const auto* done = msg_cast<AReleaseComplete>(&msg)) {
     MsContext* ctx = context(done->imsi);
     if (ctx == nullptr || ctx->step != Step::kReleasingMs) return;
     clear_radio(*ctx);
     return;
   }
 
-  if (const auto* done = dynamic_cast<const AClearComplete*>(&msg)) {
+  if (const auto* done = msg_cast<AClearComplete>(&msg)) {
     MsContext* ctx = context(done->imsi);
     if (ctx == nullptr) return;
     if (ctx->step != Step::kClearing) {
@@ -812,12 +811,12 @@ void MscBase::handle_a_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* vf = dynamic_cast<const AVoiceFrame*>(&msg)) {
+  if (const auto* vf = msg_cast<AVoiceFrame>(&msg)) {
     MsContext* ctx = context(vf->imsi);
     if (ctx != nullptr) on_uplink_voice(*ctx, *vf);
     return;
   }
-  if (const auto* vf = dynamic_cast<const ETrunkVoice*>(&msg)) {
+  if (const auto* vf = msg_cast<ETrunkVoice>(&msg)) {
     MsContext* ctx = context(vf->imsi);
     if (ctx != nullptr) on_uplink_voice(*ctx, *vf);
     return;
@@ -836,7 +835,7 @@ struct ImsiExtractor;
 template <typename T, typename... Rest>
 struct ImsiExtractor<T, Rest...> {
   static const Imsi* get(const Message& msg) {
-    if (const auto* m = dynamic_cast<const T*>(&msg)) return &m->imsi;
+    if (const auto* m = msg_cast<T>(&msg)) return &m->imsi;
     return ImsiExtractor<Rest...>::get(msg);
   }
 };
@@ -869,7 +868,7 @@ void MscBase::on_message(const Envelope& env) {
       return;
     }
   }
-  if (const auto* vf = dynamic_cast<const AVoiceFrame*>(env.msg.get())) {
+  if (const auto* vf = msg_cast<AVoiceFrame>(env.msg.get())) {
     MsContext* ctx = context(vf->imsi);
     if (ctx != nullptr && ctx->handed_in) {
       auto out = pool_message<ETrunkVoice>();
@@ -878,7 +877,7 @@ void MscBase::on_message(const Envelope& env) {
       return;
     }
   }
-  if (const auto* vf = dynamic_cast<const ETrunkVoice*>(env.msg.get())) {
+  if (const auto* vf = msg_cast<ETrunkVoice>(env.msg.get())) {
     MsContext* ctx = context(vf->imsi);
     if (ctx != nullptr && ctx->handed_in) {
       auto out = pool_message<AVoiceFrame>();

@@ -31,7 +31,7 @@ void Vlr::on_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
   // (V)MSC asks for an authentication vector.
-  if (const auto* req = dynamic_cast<const MapSendAuthInfo*>(&msg)) {
+  if (const auto* req = msg_cast<MapSendAuthInfo>(&msg)) {
     auto& rec = records_[req->imsi];
     if (!rec.triplets.empty()) {
       reply_auth_info(env.from, req->imsi);
@@ -45,7 +45,7 @@ void Vlr::on_message(const Envelope& env) {
   }
 
   // HLR returns authentication vectors.
-  if (const auto* ack = dynamic_cast<const MapSendAuthInfoAck*>(&msg)) {
+  if (const auto* ack = msg_cast<MapSendAuthInfoAck>(&msg)) {
     auto& rec = records_[ack->imsi];
     for (const auto& t : ack->triplets) rec.triplets.push_back(t);
     if (const NodeId* req = pending_auth_.find(ack->imsi); req != nullptr) {
@@ -57,7 +57,7 @@ void Vlr::on_message(const Envelope& env) {
   }
 
   // (V)MSC registers the subscriber in this VLR's area.
-  if (const auto* ula = dynamic_cast<const MapUpdateLocationArea*>(&msg)) {
+  if (const auto* ula = msg_cast<MapUpdateLocationArea>(&msg)) {
     auto& rec = records_[ula->imsi];
     rec.lai = ula->lai;
     rec.msc_name = ula->msc_name;
@@ -71,7 +71,7 @@ void Vlr::on_message(const Envelope& env) {
   }
 
   // HLR pushes the subscription profile during location updating.
-  if (const auto* isd = dynamic_cast<const MapInsertSubsData*>(&msg)) {
+  if (const auto* isd = msg_cast<MapInsertSubsData>(&msg)) {
     auto& rec = records_[isd->imsi];
     rec.profile = isd->profile;
     rec.profile_valid = true;
@@ -81,7 +81,7 @@ void Vlr::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* ul_ack = dynamic_cast<const MapUpdateLocationAck*>(&msg)) {
+  if (const auto* ul_ack = msg_cast<MapUpdateLocationAck>(&msg)) {
     const NodeId* pending = pending_ula_.find(ul_ack->imsi);
     if (pending == nullptr) return;
     NodeId requester = *pending;
@@ -102,8 +102,7 @@ void Vlr::on_message(const Envelope& env) {
   }
 
   // Outgoing-call authorization (paper step 2.2).
-  if (const auto* ocall =
-          dynamic_cast<const MapSendInfoForOutgoingCall*>(&msg)) {
+  if (const auto* ocall = msg_cast<MapSendInfoForOutgoingCall>(&msg)) {
     auto ack = pool_message<MapSendInfoForOutgoingCallAck>();
     ack->imsi = ocall->imsi;
     const VisitorRecord* rec = records_.find(ocall->imsi);
@@ -123,7 +122,7 @@ void Vlr::on_message(const Envelope& env) {
   }
 
   // HLR requests a roaming number for call delivery.
-  if (const auto* prn = dynamic_cast<const MapProvideRoamingNumber*>(&msg)) {
+  if (const auto* prn = msg_cast<MapProvideRoamingNumber>(&msg)) {
     // MSRNs: <prefix> followed by a 5-digit rolling counter.
     Msrn msrn(config_.msrn_prefix * 100'000 + next_msrn_++);
     msrn_map_[msrn] = prn->imsi;
@@ -135,8 +134,7 @@ void Vlr::on_message(const Envelope& env) {
   }
 
   // Serving MSC resolves an MSRN from an incoming IAM.
-  if (const auto* icall =
-          dynamic_cast<const MapSendInfoForIncomingCall*>(&msg)) {
+  if (const auto* icall = msg_cast<MapSendInfoForIncomingCall>(&msg)) {
     auto ack = pool_message<MapSendInfoForIncomingCallAck>();
     ack->msrn = icall->msrn;
     if (const Imsi* imsi = msrn_map_.find(icall->msrn); imsi != nullptr) {
@@ -152,7 +150,7 @@ void Vlr::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* cancel = dynamic_cast<const MapCancelLocation*>(&msg)) {
+  if (const auto* cancel = msg_cast<MapCancelLocation>(&msg)) {
     // Propagate the cancellation to the serving (V)MSC so it can purge its
     // MS table (and, for a VMSC, detach from GPRS and unregister at the
     // gatekeeper).

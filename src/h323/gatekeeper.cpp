@@ -49,7 +49,7 @@ void Gatekeeper::handle_unknown_alias(const RasAdmissionRequestInfo& arq,
 std::size_t Gatekeeper::open_calls() const { return open_index_.size(); }
 
 void Gatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
-  if (const auto* rrq = dynamic_cast<const RasRrq*>(&inner)) {
+  if (const auto* rrq = msg_cast<RasRrq>(&inner)) {
     Registration& reg = table_[rrq->alias];
     // A new transport address means a new endpoint claiming the alias
     // (e.g. the VMSC after the subscriber re-activated a dynamic PDP
@@ -66,7 +66,7 @@ void Gatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     return;
   }
 
-  if (const auto* urq = dynamic_cast<const RasUrq*>(&inner)) {
+  if (const auto* urq = msg_cast<RasUrq>(&inner)) {
     const Registration* reg = table_.find(urq->alias);
     if (reg != nullptr && reg->endpoint_id == urq->endpoint_id) {
       table_.erase(urq->alias);
@@ -78,7 +78,7 @@ void Gatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     return;
   }
 
-  if (const auto* arq = dynamic_cast<const RasArq*>(&inner)) {
+  if (const auto* arq = msg_cast<RasArq>(&inner)) {
     if (grants_.contains(grant_key(arq->call_ref.value(), arq->answer_call))) {
       // Duplicate ARQ for a leg already admitted (retransmission after a
       // lost ACF): re-confirm without counting the admission, its
@@ -128,7 +128,7 @@ void Gatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     return;
   }
 
-  if (const auto* drq = dynamic_cast<const RasDrq*>(&inner)) {
+  if (const auto* drq = msg_cast<RasDrq>(&inner)) {
     if (const std::uint32_t* ix = open_index_.find(drq->call_ref.value());
         ix != nullptr) {
       CallRecord& rec = records_[*ix];

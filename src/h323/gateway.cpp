@@ -42,7 +42,7 @@ void H323Gateway::register_endpoint() {
 void H323Gateway::on_other(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* iam = dynamic_cast<const IsupIam*>(&msg)) {
+  if (const auto* iam = msg_cast<IsupIam>(&msg)) {
     // A call entered from the PSTN (Fig. 8, step (1)).  Check with the
     // gatekeeper whether the callee is reachable over VoIP (step (2)).
     CallRef ref(0x60000000u | ++call_seq_);
@@ -61,15 +61,15 @@ void H323Gateway::on_other(const Envelope& env) {
     return;
   }
 
-  if (const auto* acm = dynamic_cast<const IsupAcm*>(&msg)) {
+  if (const auto* acm = msg_cast<IsupAcm>(&msg)) {
     relay_transit(env, *acm);
     return;
   }
-  if (const auto* anm = dynamic_cast<const IsupAnm*>(&msg)) {
+  if (const auto* anm = msg_cast<IsupAnm>(&msg)) {
     relay_transit(env, *anm);
     return;
   }
-  if (const auto* rel = dynamic_cast<const IsupRel*>(&msg)) {
+  if (const auto* rel = msg_cast<IsupRel>(&msg)) {
     if (relay_transit(env, *rel)) return;
     // Caller hung up a VoIP-completed call: release the H.323 leg.
     Call* call = call_by_cic(rel->cic);
@@ -91,7 +91,7 @@ void H323Gateway::on_other(const Envelope& env) {
     }
     return;
   }
-  if (const auto* rlc = dynamic_cast<const IsupRlc*>(&msg)) {
+  if (const auto* rlc = msg_cast<IsupRlc>(&msg)) {
     if (relay_transit(env, *rlc)) {
       auto it = transit_index_.find(rlc->cic);
       if (it != transit_index_.end()) {
@@ -108,7 +108,7 @@ void H323Gateway::on_other(const Envelope& env) {
     }
     return;
   }
-  if (const auto* voice = dynamic_cast<const TrunkVoice*>(&msg)) {
+  if (const auto* voice = msg_cast<TrunkVoice>(&msg)) {
     if (relay_transit(env, *voice)) return;
     Call* call = call_by_cic(voice->cic);
     if (call != nullptr && call->remote_media.valid()) {
@@ -127,12 +127,12 @@ void H323Gateway::on_other(const Envelope& env) {
 // --- IP side --------------------------------------------------------------------
 
 void H323Gateway::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
-  if (const auto* rcf = dynamic_cast<const RasRcf*>(&inner)) {
+  if (const auto* rcf = msg_cast<RasRcf>(&inner)) {
     endpoint_id_ = rcf->endpoint_id;
     return;
   }
 
-  if (const auto* acf = dynamic_cast<const RasAcf*>(&inner)) {
+  if (const auto* acf = msg_cast<RasAcf>(&inner)) {
     Call* call = call_by_ref(acf->call_ref);
     if (call == nullptr) return;
     // Callee found in the gatekeeper's table: complete over VoIP
@@ -150,7 +150,7 @@ void H323Gateway::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     return;
   }
 
-  if (const auto* arj = dynamic_cast<const RasArj*>(&inner)) {
+  if (const auto* arj = msg_cast<RasArj>(&inner)) {
     Call* call = call_by_ref(arj->call_ref);
     if (call == nullptr) return;
     // Callee not registered in this zone: instruct normal PSTN routing
@@ -170,10 +170,10 @@ void H323Gateway::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     return;
   }
 
-  if (dynamic_cast<const Q931CallProceeding*>(&inner) != nullptr) {
+  if (msg_cast<Q931CallProceeding>(&inner) != nullptr) {
     return;
   }
-  if (const auto* alert = dynamic_cast<const Q931Alerting*>(&inner)) {
+  if (const auto* alert = msg_cast<Q931Alerting>(&inner)) {
     Call* call = call_by_ref(alert->call_ref);
     if (call == nullptr) return;
     auto acm = pool_message<IsupAcm>();
@@ -181,7 +181,7 @@ void H323Gateway::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     send(call->trunk_peer, std::move(acm));
     return;
   }
-  if (const auto* conn = dynamic_cast<const Q931Connect*>(&inner)) {
+  if (const auto* conn = msg_cast<Q931Connect>(&inner)) {
     Call* call = call_by_ref(conn->call_ref);
     if (call == nullptr) return;
     call->remote_media = conn->media_address.ip();
@@ -190,7 +190,7 @@ void H323Gateway::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     send(call->trunk_peer, std::move(anm));
     return;
   }
-  if (const auto* rel = dynamic_cast<const Q931ReleaseComplete*>(&inner)) {
+  if (const auto* rel = msg_cast<Q931ReleaseComplete>(&inner)) {
     Call* call = call_by_ref(rel->call_ref);
     if (call == nullptr) return;
     auto isup_rel = pool_message<IsupRel>();
@@ -205,10 +205,10 @@ void H323Gateway::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     calls_.erase(rel->call_ref);
     return;
   }
-  if (dynamic_cast<const RasDcf*>(&inner) != nullptr) {
+  if (msg_cast<RasDcf>(&inner) != nullptr) {
     return;
   }
-  if (const auto* rtp = dynamic_cast<const RtpPacket*>(&inner)) {
+  if (const auto* rtp = msg_cast<RtpPacket>(&inner)) {
     // Media from the VoIP leg toward the PSTN caller.
     for (auto& [ref, call] : calls_) {
       (void)ref;

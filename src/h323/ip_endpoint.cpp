@@ -21,7 +21,7 @@ void IpEndpoint::on_other(const Envelope& env) {
 }
 
 void IpEndpoint::on_message(const Envelope& env) {
-  const auto* dgram = dynamic_cast<const IpDatagram*>(env.msg.get());
+  const auto* dgram = msg_cast<IpDatagram>(env.msg.get());
   if (dgram == nullptr) {
     on_other(env);
     return;

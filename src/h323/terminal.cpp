@@ -156,7 +156,7 @@ void H323Terminal::on_timer(TimerId, std::uint64_t cookie) {
 
 void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
   // --- RAS ---------------------------------------------------------------------
-  if (const auto* rcf = dynamic_cast<const RasRcf*>(&inner)) {
+  if (const auto* rcf = msg_cast<RasRcf>(&inner)) {
     retx_.ack(retx_key(RetxKind::kRrq));
     if (state_ != State::kRegistering) return;
     net().spans().close(SpanKind::kRegistration, config_.alias.value(),
@@ -166,7 +166,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     if (on_registered) on_registered();
     return;
   }
-  if (const auto* rrj = dynamic_cast<const RasRrj*>(&inner)) {
+  if (const auto* rrj = msg_cast<RasRrj>(&inner)) {
     retx_.ack(retx_key(RetxKind::kRrq));
     if (state_ == State::kRegistering) {
       net().spans().close(SpanKind::kRegistration, config_.alias.value(),
@@ -179,7 +179,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     }
     return;
   }
-  if (const auto* acf = dynamic_cast<const RasAcf*>(&inner)) {
+  if (const auto* acf = msg_cast<RasAcf>(&inner)) {
     retx_.ack(retx_key(RetxKind::kArq));
     if (state_ == State::kArqSent && acf->call_ref == call_ref_) {
       // Admission granted for our originating call: send Setup.
@@ -230,7 +230,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     }
     return;
   }
-  if (const auto* arj = dynamic_cast<const RasArj*>(&inner)) {
+  if (const auto* arj = msg_cast<RasArj>(&inner)) {
     retx_.ack(retx_key(RetxKind::kArq));
     if (arj->call_ref != call_ref_) return;
     if (state_ == State::kArqSent) {
@@ -255,12 +255,12 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     }
     return;
   }
-  if (dynamic_cast<const RasDcf*>(&inner) != nullptr) {
+  if (msg_cast<RasDcf>(&inner) != nullptr) {
     return;  // disengage confirmed
   }
 
   // --- Q.931 --------------------------------------------------------------------
-  if (const auto* setup = dynamic_cast<const Q931Setup*>(&inner)) {
+  if (const auto* setup = msg_cast<Q931Setup>(&inner)) {
     if (state_ != State::kRegistered) {
       if (setup->call_ref == call_ref_ &&
           setup->src_signal_address.ip() == remote_signal_) {
@@ -320,17 +320,17 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
         });
     return;
   }
-  if (dynamic_cast<const Q931CallProceeding*>(&inner) != nullptr) {
+  if (msg_cast<Q931CallProceeding>(&inner) != nullptr) {
     return;
   }
-  if (const auto* alert = dynamic_cast<const Q931Alerting*>(&inner)) {
+  if (const auto* alert = msg_cast<Q931Alerting>(&inner)) {
     if (state_ == State::kCalling && alert->call_ref == call_ref_) {
       enter(State::kRingback);
       if (on_ringback) on_ringback(call_ref_);
     }
     return;
   }
-  if (const auto* conn = dynamic_cast<const Q931Connect*>(&inner)) {
+  if (const auto* conn = msg_cast<Q931Connect>(&inner)) {
     if ((state_ == State::kRingback || state_ == State::kCalling) &&
         conn->call_ref == call_ref_) {
       net().spans().close(SpanKind::kOrigination, call_ref_.value(),
@@ -342,7 +342,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     }
     return;
   }
-  if (const auto* rel = dynamic_cast<const Q931ReleaseComplete*>(&inner)) {
+  if (const auto* rel = msg_cast<Q931ReleaseComplete>(&inner)) {
     if (rel->call_ref == call_ref_ && state_ != State::kIdle &&
         state_ != State::kRegistered) {
       if (state_ == State::kCalling || state_ == State::kRingback) {
@@ -356,7 +356,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
   }
 
   // --- media -----------------------------------------------------------------------
-  if (const auto* rtp = dynamic_cast<const RtpPacket*>(&inner)) {
+  if (const auto* rtp = msg_cast<RtpPacket>(&inner)) {
     ++voice_rx_;
     voice_latency_.add(
         SimDuration::micros(now().count_micros() - rtp->origin_us));

@@ -54,6 +54,7 @@ class H323Terminal : public IpEndpoint {
                    SimDuration interval = SimDuration::millis(20));
 
   // --- introspection -------------------------------------------------------------
+  [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] CallRef call_ref() const { return call_ref_; }
   [[nodiscard]] std::uint32_t endpoint_id() const { return endpoint_id_; }

@@ -82,7 +82,7 @@ void PstnPhone::on_timer(TimerId, std::uint64_t cookie) {
 void PstnPhone::on_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* iam = dynamic_cast<const IsupIam*>(&msg)) {
+  if (const auto* iam = msg_cast<IsupIam>(&msg)) {
     if (state_ != State::kIdle) {
       auto rel = pool_message<IsupRel>();
       rel->cic = iam->cic;
@@ -102,14 +102,14 @@ void PstnPhone::on_message(const Envelope& env) {
     }
     return;
   }
-  if (const auto* acm = dynamic_cast<const IsupAcm*>(&msg)) {
+  if (const auto* acm = msg_cast<IsupAcm>(&msg)) {
     if (state_ == State::kDialing && acm->cic == cic_) {
       state_ = State::kRinging;
       if (on_ringback) on_ringback();
     }
     return;
   }
-  if (const auto* anm = dynamic_cast<const IsupAnm*>(&msg)) {
+  if (const auto* anm = msg_cast<IsupAnm>(&msg)) {
     if (state_ == State::kRinging && anm->cic == cic_) {
       state_ = State::kConnected;
       if (on_connected) on_connected();
@@ -117,7 +117,7 @@ void PstnPhone::on_message(const Envelope& env) {
     }
     return;
   }
-  if (const auto* rel = dynamic_cast<const IsupRel*>(&msg)) {
+  if (const auto* rel = msg_cast<IsupRel>(&msg)) {
     if (rel->cic != cic_) return;
     auto rlc = pool_message<IsupRlc>();
     rlc->cic = cic_;
@@ -127,7 +127,7 @@ void PstnPhone::on_message(const Envelope& env) {
     if (on_released) on_released();
     return;
   }
-  if (const auto* rlc = dynamic_cast<const IsupRlc*>(&msg)) {
+  if (const auto* rlc = msg_cast<IsupRlc>(&msg)) {
     if (rlc->cic == cic_ && state_ == State::kReleasing) {
       state_ = State::kIdle;
       ++epoch_;
@@ -135,7 +135,7 @@ void PstnPhone::on_message(const Envelope& env) {
     }
     return;
   }
-  if (const auto* voice = dynamic_cast<const TrunkVoice*>(&msg)) {
+  if (const auto* voice = msg_cast<TrunkVoice>(&msg)) {
     if (voice->cic == cic_ && state_ == State::kConnected) {
       voice_latency_.add(
           SimDuration::micros(now().count_micros() - voice->origin_us));

@@ -49,7 +49,7 @@ const PstnSwitch::Route* PstnSwitch::best_route(const Msisdn& called) const {
 void PstnSwitch::on_message(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* iam = dynamic_cast<const IsupIam*>(&msg)) {
+  if (const auto* iam = msg_cast<IsupIam>(&msg)) {
     NodeId next;
     TrunkClass klass = TrunkClass::kSubscriberLine;
     if (auto sub = subscribers_.find(iam->called);
@@ -89,24 +89,24 @@ void PstnSwitch::on_message(const Envelope& env) {
     return true;
   };
 
-  if (const auto* acm = dynamic_cast<const IsupAcm*>(&msg)) {
+  if (const auto* acm = msg_cast<IsupAcm>(&msg)) {
     relay(acm->cic);
     return;
   }
-  if (const auto* anm = dynamic_cast<const IsupAnm*>(&msg)) {
+  if (const auto* anm = msg_cast<IsupAnm>(&msg)) {
     relay(anm->cic);
     return;
   }
-  if (const auto* rel = dynamic_cast<const IsupRel*>(&msg)) {
+  if (const auto* rel = msg_cast<IsupRel>(&msg)) {
     relay(rel->cic);
     return;
   }
-  if (const auto* rlc = dynamic_cast<const IsupRlc*>(&msg)) {
+  if (const auto* rlc = msg_cast<IsupRlc>(&msg)) {
     relay(rlc->cic);
     legs_.erase(rlc->cic);
     return;
   }
-  if (const auto* voice = dynamic_cast<const TrunkVoice*>(&msg)) {
+  if (const auto* voice = msg_cast<TrunkVoice>(&msg)) {
     relay(voice->cic);
     return;
   }

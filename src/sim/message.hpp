@@ -7,11 +7,13 @@
 // real protocol stack does, so codec bugs surface as broken procedures.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -74,20 +76,21 @@ class Message {
   void encode_to(ByteWriter& w) const;
 };
 
-/// CRTP helper supplying the boilerplate overrides.  Derived classes declare
-///   static constexpr std::uint16_t kWireType;
-///   static constexpr std::string_view kName;
-template <typename Derived>
-class MessageBase : public Message {
- public:
-  [[nodiscard]] std::uint16_t wire_type() const final {
-    return Derived::kWireType;
-  }
-  [[nodiscard]] std::string_view name() const final { return Derived::kName; }
-  [[nodiscard]] std::unique_ptr<Message> clone() const final {
-    return std::make_unique<Derived>(static_cast<const Derived&>(*this));
-  }
-};
+/// Downcast for handler dispatch: `m` as a T when its wire type is T's,
+/// null otherwise (and for a null `m`).  This is exactly what
+/// dynamic_cast<const T*> answers, for a fraction of the cost: T must be
+/// final, so a message is a T only when its dynamic type is T, and the
+/// registry lint rejects two types that claim one wire type.  Builds without
+/// NDEBUG check every answer against dynamic_cast.
+template <typename T>
+[[nodiscard]] const T* msg_cast(const Message* m) {
+  static_assert(std::is_final_v<T>, "msg_cast matches exact types only");
+  const T* out = m != nullptr && m->wire_type() == T::kWireType
+                     ? static_cast<const T*>(m)
+                     : nullptr;
+  assert(out == dynamic_cast<const T*>(m));
+  return out;
+}
 
 /// Global wire-type -> factory registry.  Protocol modules register their
 /// message types once (idempotent) via register_message<T>().

@@ -28,8 +28,7 @@ void TrGatekeeper::admit(const RasAdmissionRequestInfo& arq,
 }
 
 void TrGatekeeper::on_other(const Envelope& env) {
-  const auto* ack =
-      dynamic_cast<const MapSendRoutingInformationAck*>(env.msg.get());
+  const auto* ack = msg_cast<MapSendRoutingInformationAck>(env.msg.get());
   if (ack == nullptr) {
     Gatekeeper::on_other(env);
     return;
@@ -54,8 +53,7 @@ void TrGatekeeper::on_other(const Envelope& env) {
 }
 
 void TrGatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
-  if (const auto* rsp =
-          dynamic_cast<const GgsnActivationResponse*>(&inner)) {
+  if (const auto* rsp = msg_cast<GgsnActivationResponse>(&inner)) {
     auto alias_it = alias_by_imsi_.find(rsp->imsi);
     if (alias_it == alias_by_imsi_.end()) return;
     auto it = pending_by_alias_.find(alias_it->second);

@@ -22,7 +22,7 @@ struct ImsiExtractor;
 template <typename T, typename... Rest>
 struct ImsiExtractor<T, Rest...> {
   static const Imsi* get(const Message& msg) {
-    if (const auto* m = dynamic_cast<const T*>(&msg)) return &m->imsi;
+    if (const auto* m = msg_cast<T>(&msg)) return &m->imsi;
     return ImsiExtractor<Rest...>::get(msg);
   }
 };
@@ -341,7 +341,7 @@ void TrMobileStation::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* acc = dynamic_cast<const GprsAttachAccept*>(&msg)) {
+  if (const auto* acc = msg_cast<GprsAttachAccept>(&msg)) {
     (void)acc;
     retx_.ack(retx_key(RetxKind::kAttach));
     if (state_ != State::kAttaching) return;
@@ -350,7 +350,7 @@ void TrMobileStation::on_message(const Envelope& env) {
     activate_pdp();
     return;
   }
-  if (dynamic_cast<const GprsAttachReject*>(&msg) != nullptr) {
+  if (msg_cast<GprsAttachReject>(&msg) != nullptr) {
     retx_.ack(retx_key(RetxKind::kAttach));
     if (state_ != State::kAttaching) return;
     net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
@@ -360,7 +360,7 @@ void TrMobileStation::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* acc = dynamic_cast<const ActivatePdpContextAccept*>(&msg)) {
+  if (const auto* acc = msg_cast<ActivatePdpContextAccept>(&msg)) {
     retx_.ack(retx_key(RetxKind::kPdpActivate));
     if (state_ != State::kActivatingInitial &&
         state_ != State::kActivatingForCall &&
@@ -419,7 +419,7 @@ void TrMobileStation::on_message(const Envelope& env) {
     }
     return;
   }
-  if (dynamic_cast<const ActivatePdpContextReject*>(&msg) != nullptr) {
+  if (msg_cast<ActivatePdpContextReject>(&msg) != nullptr) {
     retx_.ack(retx_key(RetxKind::kPdpActivate));
     if (state_ != State::kActivatingInitial &&
         state_ != State::kActivatingForCall &&
@@ -441,7 +441,7 @@ void TrMobileStation::on_message(const Envelope& env) {
     pdp_active_ = false;
     return;
   }
-  if (dynamic_cast<const DeactivatePdpContextAccept*>(&msg) != nullptr) {
+  if (msg_cast<DeactivatePdpContextAccept>(&msg) != nullptr) {
     retx_.ack(retx_key(RetxKind::kPdpDeactivate));
     if (state_ != State::kDeactivatingIdle &&
         state_ != State::kDeactivatingAfterCall) {
@@ -458,8 +458,7 @@ void TrMobileStation::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* req =
-          dynamic_cast<const RequestPdpContextActivation*>(&msg)) {
+  if (const auto* req = msg_cast<RequestPdpContextActivation>(&msg)) {
     // Network-initiated activation for a terminating call (3G TR 23.821).
     if (state_ != State::kIdle || pdp_active_) return;
     enter(State::kActivatingForPage);
@@ -489,11 +488,10 @@ void TrMobileStation::on_message(const Envelope& env) {
     return;
   }
 
-  if (const auto* frame = dynamic_cast<const GbUnitData*>(&msg)) {
+  if (const auto* frame = msg_cast<GbUnitData>(&msg)) {
     auto decoded = MessageRegistry::instance().decode(frame->payload);
     if (!decoded.ok()) return;
-    const auto* dgram =
-        dynamic_cast<const IpDatagram*>(decoded.value().get());
+    const auto* dgram = msg_cast<IpDatagram>(decoded.value().get());
     if (dgram == nullptr) return;
     auto inner = ip_payload(*dgram);
     if (!inner.ok()) return;
@@ -505,7 +503,7 @@ void TrMobileStation::on_message(const Envelope& env) {
 }
 
 void TrMobileStation::handle_tunneled(const Message& inner) {
-  if (const auto* rcf = dynamic_cast<const RasRcf*>(&inner)) {
+  if (const auto* rcf = msg_cast<RasRcf>(&inner)) {
     retx_.ack(retx_key(RetxKind::kRrq));
     if (state_ != State::kRasRegistering) return;
     net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
@@ -520,7 +518,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     if (on_registered) on_registered();
     return;
   }
-  if (const auto* acf = dynamic_cast<const RasAcf*>(&inner)) {
+  if (const auto* acf = msg_cast<RasAcf>(&inner)) {
     retx_.ack(retx_key(RetxKind::kArq));
     if (state_ == State::kArqSent && acf->call_ref == call_ref_) {
       remote_signal_ = acf->dest_call_signal_address.ip();
@@ -568,7 +566,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     }
     return;
   }
-  if (const auto* arj = dynamic_cast<const RasArj*>(&inner)) {
+  if (const auto* arj = msg_cast<RasArj>(&inner)) {
     retx_.ack(retx_key(RetxKind::kArq));
     if (arj->call_ref != call_ref_) return;
     if (state_ == State::kArqSent || state_ == State::kIncomingArq) {
@@ -579,7 +577,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     }
     return;
   }
-  if (dynamic_cast<const RasDcf*>(&inner) != nullptr) {
+  if (msg_cast<RasDcf>(&inner) != nullptr) {
     retx_.ack(retx_key(RetxKind::kDrq));
     if (state_ == State::kAwaitDcf) {
       deactivate_pdp(State::kDeactivatingAfterCall);
@@ -587,7 +585,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     return;
   }
 
-  if (const auto* setup = dynamic_cast<const Q931Setup*>(&inner)) {
+  if (const auto* setup = msg_cast<Q931Setup>(&inner)) {
     if (state_ == State::kActivatingForPage ||
         (state_ == State::kIdle && !pdp_active_)) {
       // The network paged us for this call; the caller's Setup overtook our
@@ -649,11 +647,11 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
         });
     return;
   }
-  if (dynamic_cast<const Q931CallProceeding*>(&inner) != nullptr) {
+  if (msg_cast<Q931CallProceeding>(&inner) != nullptr) {
     retx_.ack(retx_key(RetxKind::kSetup));
     return;
   }
-  if (const auto* alert = dynamic_cast<const Q931Alerting*>(&inner)) {
+  if (const auto* alert = msg_cast<Q931Alerting>(&inner)) {
     retx_.ack(retx_key(RetxKind::kSetup));
     if (state_ == State::kCalling && alert->call_ref == call_ref_) {
       enter(State::kRingback);
@@ -664,7 +662,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     }
     return;
   }
-  if (const auto* conn = dynamic_cast<const Q931Connect*>(&inner)) {
+  if (const auto* conn = msg_cast<Q931Connect>(&inner)) {
     retx_.ack(retx_key(RetxKind::kSetup));
     if ((state_ == State::kRingback || state_ == State::kCalling) &&
         conn->call_ref == call_ref_) {
@@ -677,7 +675,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     }
     return;
   }
-  if (const auto* rel = dynamic_cast<const Q931ReleaseComplete*>(&inner)) {
+  if (const auto* rel = msg_cast<Q931ReleaseComplete>(&inner)) {
     retx_.ack(retx_key(RetxKind::kSetup));
     if (rel->call_ref == call_ref_ && state_ != State::kIdle &&
         state_ != State::kDetached && state_ != State::kAwaitDcf &&
@@ -686,7 +684,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     }
     return;
   }
-  if (const auto* rtp = dynamic_cast<const RtpPacket*>(&inner)) {
+  if (const auto* rtp = msg_cast<RtpPacket>(&inner)) {
     if (state_ == State::kConnected) {
       ++voice_rx_;
       voice_latency_.add(

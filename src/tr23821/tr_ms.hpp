@@ -75,6 +75,7 @@ class TrMobileStation final : public Node {
                    SimDuration interval = SimDuration::millis(20));
 
   // --- introspection ----------------------------------------------------------
+  [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] bool pdp_active() const { return pdp_active_; }
   [[nodiscard]] std::uint32_t pdp_activations() const {

@@ -65,7 +65,9 @@ std::unique_ptr<TrScenario> build_tr23821(const TrParams& p) {
     H323Terminal::Config tc;
     // Counted up from 192.168.1.10 like build_vgprs's terminals.
     tc.ip = IpAddress(IpAddress(192, 168, 1, 10).value() + i);
-    tc.alias = make_subscriber(p.country_code, 1000 + i).msisdn;
+    tc.alias =
+        make_subscriber(p.country_code, terminal_alias_index(p.num_ms, i))
+            .msisdn;
     tc.gk_ip = IpAddress(192, 168, 1, 1);
     tc.router_name = "Router";
     auto& term = net.add<H323Terminal>("TERM" + std::to_string(i + 1), tc);

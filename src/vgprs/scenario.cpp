@@ -47,6 +47,10 @@ SubscriberIdentity make_subscriber(std::uint16_t country_code,
   return id;
 }
 
+std::uint32_t terminal_alias_index(std::uint32_t num_ms, std::uint32_t j) {
+  return std::max<std::uint32_t>(1000, num_ms + 1) + j;
+}
+
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<VgprsScenario> build_vgprs(const VgprsParams& p) {
@@ -127,7 +131,9 @@ std::unique_ptr<VgprsScenario> build_vgprs(const VgprsParams& p) {
     // Counted up from 192.168.1.10, carrying into the higher octets, so
     // terminal #248 does not wrap onto the gatekeeper's 192.168.1.1.
     tc.ip = IpAddress(IpAddress(192, 168, 1, 10).value() + i);
-    tc.alias = make_subscriber(p.country_code, 1000 + i).msisdn;
+    tc.alias =
+        make_subscriber(p.country_code, terminal_alias_index(p.num_ms, i))
+            .msisdn;
     tc.gk_ip = IpAddress(192, 168, 1, 1);
     tc.router_name = "Router";
     auto& term =

@@ -45,6 +45,11 @@ struct SubscriberIdentity {
 SubscriberIdentity make_subscriber(std::uint16_t country_code,
                                    std::uint32_t index);
 
+/// Subscriber index of H.323 terminal #j's alias in a network whose MSs are
+/// subscribers 1..num_ms.  Aliases start at 1000, or right after the last
+/// MS in larger networks, so no alias repeats an MS's MSISDN.
+std::uint32_t terminal_alias_index(std::uint32_t num_ms, std::uint32_t j);
+
 // ---------------------------------------------------------------------------
 
 struct VgprsParams {

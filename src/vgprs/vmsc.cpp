@@ -399,7 +399,7 @@ void Vmsc::on_uplink_voice(MsContext& ctx, const VoiceFrameInfo& frame) {
 bool Vmsc::handle_gprs(const Envelope& env) {
   const Message& msg = *env.msg;
 
-  if (const auto* acc = dynamic_cast<const GprsAttachAccept*>(&msg)) {
+  if (const auto* acc = msg_cast<GprsAttachAccept>(&msg)) {
     retx().ack(retx_key(RetxKind::kGprsAttach, acc->imsi));
     VgprsState& vs = vstate(acc->imsi);
     if (vs.phase != VgprsState::Phase::kAttaching) return true;
@@ -407,7 +407,7 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     activate_signaling_context(acc->imsi);
     return true;
   }
-  if (const auto* rej = dynamic_cast<const GprsAttachReject*>(&msg)) {
+  if (const auto* rej = msg_cast<GprsAttachReject>(&msg)) {
     retx().ack(retx_key(RetxKind::kGprsAttach, rej->imsi));
     VG_WARN("vmsc", name() << ": GPRS attach rejected for "
                            << rej->imsi.to_string());
@@ -417,7 +417,7 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     vgprs_states_.erase(rej->imsi);
     return true;
   }
-  if (const auto* acc = dynamic_cast<const ActivatePdpContextAccept*>(&msg)) {
+  if (const auto* acc = msg_cast<ActivatePdpContextAccept>(&msg)) {
     retx().ack(retx_key(acc->nsapi == kVoiceNsapi
                             ? RetxKind::kPdpActivateVoice
                             : RetxKind::kPdpActivateSig,
@@ -475,7 +475,7 @@ bool Vmsc::handle_gprs(const Envelope& env) {
         });
     return true;
   }
-  if (const auto* rej = dynamic_cast<const ActivatePdpContextReject*>(&msg)) {
+  if (const auto* rej = msg_cast<ActivatePdpContextReject>(&msg)) {
     retx().ack(retx_key(rej->nsapi == kVoiceNsapi
                             ? RetxKind::kPdpActivateVoice
                             : RetxKind::kPdpActivateSig,
@@ -500,8 +500,7 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     }
     return true;
   }
-  if (const auto* acc =
-          dynamic_cast<const DeactivatePdpContextAccept*>(&msg)) {
+  if (const auto* acc = msg_cast<DeactivatePdpContextAccept>(&msg)) {
     retx().ack(retx_key(acc->nsapi == kVoiceNsapi
                             ? RetxKind::kPdpDeactivateVoice
                             : RetxKind::kPdpDeactivateSig,
@@ -518,19 +517,18 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     }
     return true;
   }
-  if (const auto* acc = dynamic_cast<const GprsDetachAccept*>(&msg)) {
+  if (const auto* acc = msg_cast<GprsDetachAccept>(&msg)) {
     retx().ack(retx_key(RetxKind::kGprsDetach, acc->imsi));
     return true;
   }
-  if (const auto* frame = dynamic_cast<const GbUnitData*>(&msg)) {
+  if (const auto* frame = msg_cast<GbUnitData>(&msg)) {
     auto decoded = MessageRegistry::instance().decode(frame->payload);
     if (!decoded.ok()) {
       VG_WARN("vmsc", name() << ": bad tunneled frame: "
                              << decoded.error().to_string());
       return true;
     }
-    const auto* dgram =
-        dynamic_cast<const IpDatagram*>(decoded.value().get());
+    const auto* dgram = msg_cast<IpDatagram>(decoded.value().get());
     if (dgram == nullptr) return true;
     auto inner = ip_payload(*dgram);
     if (!inner.ok()) {
@@ -551,7 +549,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
                            const Message& inner) {
   VgprsState& vs = vstate(imsi);
 
-  if (const auto* rcf = dynamic_cast<const RasRcf*>(&inner)) {
+  if (const auto* rcf = msg_cast<RasRcf>(&inner)) {
     retx().ack(retx_key(RetxKind::kRasRrq, imsi));
     vs.endpoint_id = rcf->endpoint_id;
     vs.phase = VgprsState::Phase::kReady;
@@ -570,7 +568,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     if (on_endpoint_ready) on_endpoint_ready(imsi);
     return;
   }
-  if (const auto* rrj = dynamic_cast<const RasRrj*>(&inner)) {
+  if (const auto* rrj = msg_cast<RasRrj>(&inner)) {
     retx().ack(retx_key(RetxKind::kRasRrq, imsi));
     VG_WARN("vmsc", name() << ": RAS registration rejected, cause "
                            << static_cast<int>(rrj->cause));
@@ -583,7 +581,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     return;
   }
 
-  if (const auto* acf = dynamic_cast<const RasAcf*>(&inner)) {
+  if (const auto* acf = msg_cast<RasAcf>(&inner)) {
     retx().ack(retx_key(RetxKind::kRasArq, imsi));
     MsContext* ctx = context(imsi);
     if (ctx == nullptr) return;
@@ -643,7 +641,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     }
     return;
   }
-  if (const auto* arj = dynamic_cast<const RasArj*>(&inner)) {
+  if (const auto* arj = msg_cast<RasArj>(&inner)) {
     retx().ack(retx_key(RetxKind::kRasArq, imsi));
     MsContext* ctx = context(imsi);
     if (ctx == nullptr) return;
@@ -662,7 +660,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     }
     return;
   }
-  if (dynamic_cast<const RasDcf*>(&inner) != nullptr) {
+  if (msg_cast<RasDcf>(&inner) != nullptr) {
     retx().ack(retx_key(RetxKind::kRasDrq, imsi));
     if (vs.pending_drq_deactivate) {
       // Step 3.4: deactivate the per-call voice PDP context.
@@ -671,13 +669,13 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     }
     return;
   }
-  if (dynamic_cast<const RasUcf*>(&inner) != nullptr) {
+  if (msg_cast<RasUcf>(&inner) != nullptr) {
     retx().ack(retx_key(RetxKind::kRasUrq, imsi));
     if (vs.pending_detach) detach_and_forget(imsi);
     return;
   }
 
-  if (const auto* setup = dynamic_cast<const Q931Setup*>(&inner)) {
+  if (const auto* setup = msg_cast<Q931Setup>(&inner)) {
     // Step 4.2: an incoming H.323 call reached the MS's signaling context.
     MsContext* ctx = context(imsi);
     auto busy = [&] {
@@ -737,11 +735,11 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
         });
     return;
   }
-  if (dynamic_cast<const Q931CallProceeding*>(&inner) != nullptr) {
+  if (msg_cast<Q931CallProceeding>(&inner) != nullptr) {
     retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
     return;  // step 2.4 response; informational
   }
-  if (const auto* alert = dynamic_cast<const Q931Alerting*>(&inner)) {
+  if (const auto* alert = msg_cast<Q931Alerting>(&inner)) {
     retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
     // Step 2.6 -> 2.7: ring-back toward the MS.  Tunneled messages are
     // dispatched by the subscriber the datagram was addressed to: two call
@@ -754,7 +752,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     }
     return;
   }
-  if (const auto* conn = dynamic_cast<const Q931Connect*>(&inner)) {
+  if (const auto* conn = msg_cast<Q931Connect>(&inner)) {
     retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
     // Step 2.8: answer; step 2.9: activate the voice context.
     MsContext* ctx = context(imsi);
@@ -770,7 +768,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     activate_voice_context(imsi);
     return;
   }
-  if (const auto* rel = dynamic_cast<const Q931ReleaseComplete*>(&inner)) {
+  if (const auto* rel = msg_cast<Q931ReleaseComplete>(&inner)) {
     retx().ack(retx_key(RetxKind::kQ931Setup, imsi));
     MsContext* ctx = context(imsi);
     if (ctx != nullptr && rel->call_ref != ctx->call_ref) ctx = nullptr;
@@ -789,7 +787,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     return;
   }
 
-  if (const auto* rtp = dynamic_cast<const RtpPacket*>(&inner)) {
+  if (const auto* rtp = msg_cast<RtpPacket>(&inner)) {
     MsContext* ctx = context(imsi);
     if (ctx != nullptr && ctx->step == Step::kActive) {
       send_downlink_voice(*ctx, rtp->seq, rtp->origin_us,

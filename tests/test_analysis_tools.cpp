@@ -21,7 +21,7 @@ const std::string kVerify = VGPRS_VERIFY_BIN;  // NOLINT(cert-err58-cpp)
 
 constexpr const char* kLintFamilies[] = {
     "registry", "codec", "flows", "correlation",
-    "retransmission", "fsm", "sharding"};
+    "retransmission", "fsm", "sharding", "dispatch"};
 constexpr const char* kVerifyFamilies[] = {
     "unhandled", "deadlock", "dead-row", "timer", "flow-cover"};
 

@@ -1,10 +1,17 @@
 // Unit tests for the discrete-event engine: time, event ordering, timers,
-// link characteristics, tracing and statistics.
+// link characteristics, tracing, statistics and the dispatch downcast.
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "gprs/ip.hpp"
+#include "gprs/messages.hpp"
+#include "gsm/messages.hpp"
+#include "h323/messages.hpp"
 #include "sim/network.hpp"
 #include "sim/proto.hpp"
 #include "sim/stats.hpp"
+#include "vgprs/scenario.hpp"
 
 namespace vgprs {
 namespace {
@@ -341,6 +348,48 @@ TEST_F(SimTest, HistogramStatistics) {
   EXPECT_DOUBLE_EQ(h.percentile(0.99), 99.0);
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 100.0);
   EXPECT_NEAR(h.stddev(), 29.0115, 0.01);
+}
+
+/// Probes `m` as a T both ways; returns 1 when msg_cast matched.
+template <typename T>
+int msg_cast_probe(const Message* m) {
+  const T* fast = msg_cast<T>(m);
+  EXPECT_EQ(fast, dynamic_cast<const T*>(m))
+      << T::kName << " probe on "
+      << (m != nullptr ? m->name() : std::string_view("null"));
+  return fast != nullptr ? 1 : 0;
+}
+
+// The probes cover aliases of one payload (UmSetup, AbisSetup and ASetup
+// share CallSetupInfo, so only the wire type tells them apart), the last
+// rung of Bts::on_message, the tunnel types GbUnitData and IpDatagram, and
+// RasAcf, which the VMSC matches inside them after decoding.
+template <typename... Ts>
+struct MsgCastProbes {
+  static std::array<int, sizeof...(Ts)> run(const Message* m) {
+    return {msg_cast_probe<Ts>(m)...};
+  }
+  static constexpr std::array<std::string_view, sizeof...(Ts)> kNames{
+      Ts::kName...};
+};
+using Probes = MsgCastProbes<UmSetup, AbisSetup, ASetup, AbisCmServiceReject,
+                             GbUnitData, IpDatagram, RasAcf>;
+
+TEST_F(SimTest, MsgCastMatchesDynamicCastOnEveryRegisteredType) {
+  register_all_messages();
+  const MessageRegistry& reg = MessageRegistry::instance();
+  std::array<int, Probes::kNames.size()> hits{};
+  for (std::uint16_t type : reg.types()) {
+    const std::unique_ptr<Message> m = reg.create(type);
+    ASSERT_NE(m, nullptr) << "wire type " << type;
+    const auto matched = Probes::run(m.get());
+    for (std::size_t i = 0; i < hits.size(); ++i) hits[i] += matched[i];
+  }
+  // Each probe type matches its own registered instance and no other.
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << Probes::kNames[i];
+  }
+  for (int hit : Probes::run(nullptr)) EXPECT_EQ(hit, 0);
 }
 
 TEST_F(SimTest, CounterSet) {

@@ -3,6 +3,8 @@
 // activation for terminating calls.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "flow_assert.hpp"
 #include "tr23821/tr_scenario.hpp"
 #include "vgprs/flows.hpp"
@@ -237,6 +239,31 @@ TEST(TrBuilderTest, AddressesCarryIntoHigherOctets) {
   EXPECT_EQ(last->profile.static_pdp_address, IpAddress(10, 2, 1, 1));
   EXPECT_EQ(s->terminals.back()->ip(), IpAddress(192, 168, 2, 1));
   EXPECT_EQ(s->net.ip_owner(IpAddress(192, 168, 1, 1)), s->gk->id());
+}
+
+// Same numbering rule as build_vgprs: at 1,000 MSs terminal 0's alias must
+// not be MS #1000's MSISDN.
+TEST(TrBuilderTest, TerminalAliasesSkipPastTheMsNumbers) {
+  TrParams params;
+  params.num_ms = 1000;
+  auto s = build_tr23821(params);
+  std::set<std::uint64_t> numbers;
+  for (const auto* ms : s->ms) numbers.insert(ms->config().msisdn.value());
+  numbers.insert(s->terminals[0]->config().alias.value());
+  EXPECT_EQ(numbers.size(), 1001u);
+
+  TrMobileStation& last = *s->ms.back();
+  bool connected = false;
+  last.on_connected = [&](CallRef) { connected = true; };
+  last.power_on();
+  s->settle();
+  s->terminals[0]->register_endpoint();
+  s->settle();
+  s->terminals[0]->place_call(last.config().msisdn);
+  s->settle();
+  EXPECT_TRUE(connected);
+  EXPECT_EQ(last.state(), TrMobileStation::State::kConnected);
+  EXPECT_EQ(s->terminals[0]->state(), H323Terminal::State::kConnected);
 }
 
 }  // namespace

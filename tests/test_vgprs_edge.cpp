@@ -4,6 +4,8 @@
 // (Fig. 2(b) data path (1)(2)(3)(4) next to the voice path).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "gprs/data_ms.hpp"
 #include "sim/fault.hpp"
 #include "vgprs/scenario.hpp"
@@ -262,6 +264,32 @@ TEST(EdgeTest, TerminalAddressesCarryIntoHigherOctets) {
   EXPECT_EQ(s->terminals.front()->ip(), IpAddress(192, 168, 1, 10));
   EXPECT_EQ(s->terminals.back()->ip(), IpAddress(192, 168, 2, 1));
   EXPECT_EQ(s->net.ip_owner(IpAddress(192, 168, 1, 1)), s->gk->id());
+}
+
+// MSs are subscribers 1..num_ms and terminal aliases start at 1000: at
+// 1,000 MSs the alias block must move past the last MS, or terminal 0 and
+// MS #1000 share a number and the gatekeeper keeps one entry for both.
+TEST(EdgeTest, TerminalAliasesSkipPastTheMsNumbers) {
+  VgprsParams params;
+  params.num_ms = 1000;
+  auto s = build_vgprs(params);
+  std::set<std::uint64_t> numbers;
+  for (const auto* ms : s->ms) numbers.insert(ms->config().msisdn.value());
+  numbers.insert(s->terminals[0]->config().alias.value());
+  EXPECT_EQ(numbers.size(), 1001u);
+
+  MobileStation& last = *s->ms.back();
+  bool connected = false;
+  last.on_connected = [&](CallRef) { connected = true; };
+  last.power_on();
+  s->settle();
+  s->terminals[0]->register_endpoint();
+  s->settle();
+  s->terminals[0]->place_call(last.config().msisdn);
+  s->settle();
+  EXPECT_TRUE(connected);
+  EXPECT_EQ(last.state(), MobileStation::State::kConnected);
+  EXPECT_EQ(s->terminals[0]->state(), H323Terminal::State::kConnected);
 }
 
 }  // namespace
