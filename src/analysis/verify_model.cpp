@@ -158,11 +158,11 @@ VerifyModel build_model() {
       {"unhandled", "vmsc-endpoint", "*", "RAS_RRJ",
        "tunneled RAS answers are ignored unless phase == kRasRegistering"},
 
-      // handoff overlay: the anchor's epoch check and the target's
-      // reservation lookup drop stale answers.
+      // handoff overlay: the anchor's pending-handover check and the
+      // target's reservation lookup drop stale answers.
       {"unhandled", "handoff-anchor", "*", "MAP_Prepare_Handover_ack",
        "stale ack after the anchor's handoff guard reclaimed the "
-       "procedure; the epoch check drops it"},
+       "procedure; with no handover target pending the anchor drops it"},
       {"unhandled", "handoff-anchor", "*", "MAP_Send_End_Signal",
        "dropped unless a handover was commanded; guard expiry already "
        "returned the call to the serving cell"},
@@ -186,16 +186,16 @@ VerifyModel build_model() {
        "ignored outside the two deactivating states"},
       {"unhandled", "tr-ms", "*", "RAS_RCF",
        "tunneled RAS answers are dropped when no matching request is "
-       "outstanding (retransmission epoch check)"},
+       "outstanding (the handset's state check)"},
       {"unhandled", "tr-ms", "*", "RAS_ACF",
        "tunneled RAS answers are dropped when no matching request is "
-       "outstanding (retransmission epoch check)"},
+       "outstanding (the handset's state check)"},
       {"unhandled", "tr-ms", "*", "RAS_ARJ",
        "tunneled RAS answers are dropped when no matching request is "
-       "outstanding (retransmission epoch check)"},
+       "outstanding (the handset's state check)"},
       {"unhandled", "tr-ms", "*", "RAS_DCF",
        "tunneled RAS answers are dropped when no matching request is "
-       "outstanding (retransmission epoch check)"},
+       "outstanding (the handset's state check)"},
       {"unhandled", "tr-ms", "*", "Q931_Setup",
        "a setup arriving while a page-triggered activation is in progress "
        "is held (pending_setup_) and replayed; otherwise dropped by the "

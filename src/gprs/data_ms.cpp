@@ -41,7 +41,7 @@ void GprsDataMs::send_ping() {
   frame->imsi = config_.imsi;
   frame->payload = dgram->encode();
   send(sgsn(), std::move(frame));
-  if (pings_remaining_ > 0) set_timer(ping_interval_);
+  if (pings_remaining_ > 0) ping_timer_ = set_timer(ping_interval_);
 }
 
 void GprsDataMs::on_timer(TimerId, std::uint64_t) { send_ping(); }
@@ -80,7 +80,10 @@ void GprsDataMs::on_message(const Envelope& env) {
   }
   if (msg_cast<GprsDetachRequest>(&msg) != nullptr) {
     // Network-initiated detach (e.g. SGSN restart recovery).
-    if (state_ == State::kOnline) state_ = State::kDetached;
+    if (state_ == State::kOnline) {
+      state_ = State::kDetached;
+      cancel_timer(ping_timer_);
+    }
     return;
   }
   if (const auto* frame = msg_cast<GbUnitData>(&msg)) {

@@ -83,6 +83,7 @@ class GprsDataMs final : public Node {
   std::uint32_t ping_seq_ = 0;
   std::uint32_t echoes_ = 0;
   SimDuration ping_interval_ = SimDuration::millis(100);
+  TimerId ping_timer_ = 0;  // the next ping while kOnline
   Histogram rtt_;
 };
 

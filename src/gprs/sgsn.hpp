@@ -47,8 +47,7 @@ class Sgsn final : public Node {
 
   void on_message(const Envelope& env) override;
   void on_timer(TimerId id, std::uint64_t cookie) override {
-    (void)id;
-    retx_.on_timer(cookie);
+    retx_.on_timer(id, cookie);
   }
   /// SGSN restart: attachments and PDP contexts are volatile.  Holders
   /// discover the loss when their next request is rejected cause 7 and

@@ -6,22 +6,15 @@
 
 namespace vgprs {
 
-namespace {
-constexpr std::uint64_t cookie_of(MobileStation::State, std::uint8_t kind,
-                                  std::uint64_t epoch) {
-  return (std::uint64_t{kind} << 56) | (epoch & 0x00FFFFFFFFFFFFFFULL);
-}
-}  // namespace
-
 void MobileStation::enter(State s) {
   state_ = s;
-  ++epoch_;
+  cancel_timer(timer_);
 }
 
 void MobileStation::arm_guard() {
-  set_timer(config_.retry_interval,
-            cookie_of(state_, static_cast<std::uint8_t>(TimerKind::kGuard),
-                      epoch_));
+  cancel_timer(timer_);
+  timer_ = set_timer(config_.retry_interval,
+                     static_cast<std::uint64_t>(TimerKind::kGuard));
 }
 
 void MobileStation::start_step(MessagePtr msg) {
@@ -165,9 +158,9 @@ void MobileStation::send_voice_frame() {
   frame->origin_us = now().count_micros();
   send(bts(), std::move(frame));
   if (voice_remaining_ > 0) {
-    set_timer(voice_interval_,
-              cookie_of(state_, static_cast<std::uint8_t>(TimerKind::kVoice),
-                        epoch_));
+    cancel_timer(timer_);
+    timer_ = set_timer(voice_interval_,
+                       static_cast<std::uint64_t>(TimerKind::kVoice));
   }
 }
 
@@ -176,28 +169,23 @@ void MobileStation::add_neighbor_bts(CellId cell, std::string bts_name) {
 }
 
 void MobileStation::on_timer(TimerId, std::uint64_t cookie) {
-  auto kind = static_cast<TimerKind>(cookie >> 56);
-  std::uint64_t epoch = cookie & 0x00FFFFFFFFFFFFFFULL;
-  switch (kind) {
+  switch (static_cast<TimerKind>(cookie)) {
     case TimerKind::kAnswer:
-      if (epoch == epoch_ && state_ == State::kMtRinging) answer();
+      answer();
       break;
     case TimerKind::kGuard:
-      if (epoch == epoch_) {
-        // Still in the state that armed supervision: the last message (or
-        // its answer) was lost.  Retransmit, LAPDm-style, then give up.
-        if (retries_left_ > 0 && last_proc_msg_ != nullptr) {
-          --retries_left_;
-          send(bts(), MessagePtr(last_proc_msg_->clone()));
-          arm_guard();
-        } else {
-          fail(std::string("guard timeout in state ") + to_string(state_));
-        }
+      // Still in the state that armed supervision: the last message (or
+      // its answer) was lost.  Retransmit, LAPDm-style, then give up.
+      if (retries_left_ > 0 && last_proc_msg_ != nullptr) {
+        --retries_left_;
+        send(bts(), MessagePtr(last_proc_msg_->clone()));
+        arm_guard();
+      } else {
+        fail(std::string("guard timeout in state ") + to_string(state_));
       }
       break;
     case TimerKind::kVoice:
-      // Voice cadence survives within the connected state (epoch unchanged).
-      if (epoch == epoch_) send_voice_frame();
+      send_voice_frame();
       break;
   }
 }
@@ -327,10 +315,9 @@ void MobileStation::on_message(const Envelope& env) {
     alert->call_ref = call_ref_;
     send(bts(), std::move(alert));
     if (config_.auto_answer) {
-      set_timer(config_.answer_delay,
-                cookie_of(state_,
-                          static_cast<std::uint8_t>(TimerKind::kAnswer),
-                          epoch_));
+      cancel_timer(timer_);
+      timer_ = set_timer(config_.answer_delay,
+                         static_cast<std::uint64_t>(TimerKind::kAnswer));
     }
     return;
   }

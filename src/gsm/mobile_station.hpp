@@ -118,7 +118,7 @@ class MobileStation final : public Node {
   CallRef call_ref_;
   Msisdn pending_called_;
   std::uint32_t call_seq_ = 0;
-  std::uint64_t epoch_ = 0;  // invalidates stale timers on state change
+  TimerId timer_ = 0;  // the current state's timer; enter() cancels it
   MessagePtr last_proc_msg_;  // retransmitted if the procedure stalls
   std::uint8_t retries_left_ = 0;
 

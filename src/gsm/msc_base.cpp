@@ -7,6 +7,18 @@
 
 namespace vgprs {
 
+namespace {
+// A guard's cookie names its subscriber.  Imsi equality compares the digit
+// count too, so the count rides above the value.
+constexpr std::uint64_t guard_cookie(Imsi imsi) {
+  return (std::uint64_t{imsi.digits()} << 56) | imsi.value();
+}
+constexpr Imsi guard_imsi(std::uint64_t cookie) {
+  return Imsi(cookie & 0x00FFFFFFFFFFFFFFULL,
+              static_cast<std::uint8_t>(cookie >> 56));
+}
+}  // namespace
+
 void MscBase::adopt_cell(CellId cell, std::string bsc_name) {
   own_cells_[cell] = std::move(bsc_name);
 }
@@ -279,10 +291,9 @@ bool MscBase::handle_handover(const Envelope& env) {
     // retransmission rows promise the anchor supervises end-to-end):
     // bound the whole attempt so a dead target MSC or lost end signal
     // returns the call to the serving cell instead of wedging it.
-    ++ctx->handoff_epoch;
-    std::uint64_t cookie = next_guard_cookie_++;
-    handoff_guards_[cookie] = {req->imsi, ctx->handoff_epoch};
-    set_timer(config_.handoff_guard, cookie);
+    cancel_timer(ctx->handoff_guard);
+    ctx->handoff_guard =
+        set_timer(config_.handoff_guard, guard_cookie(req->imsi));
     return true;
   }
 
@@ -334,17 +345,19 @@ bool MscBase::handle_handover(const Envelope& env) {
     return true;
   }
 
-  // Anchor: resources ready at the target; command the MS over.
+  // Anchor: resources ready at the target; command the MS over.  An ack
+  // with no attempt pending (it arrived after the handoff guard gave up)
+  // must not command the MS toward an unset cell.
   if (const auto* ack = msg_cast<MapPrepareHandoverAck>(&msg)) {
     MsContext* ctx = context(ack->imsi);
-    if (ctx == nullptr) return true;
+    if (ctx == nullptr || !ctx->handover_target.valid()) return true;
     if (!ack->success) {
       VG_WARN("msc", name() << ": handover preparation failed for "
                             << ack->imsi.to_string());
       net().spans().close(SpanKind::kHandoff, ack->imsi.value(),
                           SpanOutcome::kRejected, now());
       ctx->handover_target = CellId{};
-      ++ctx->handoff_epoch;  // disarm the handoff guard
+      cancel_timer(ctx->handoff_guard);
       return true;
     }
     auto cmd = pool_message<AHandoverCommand>();
@@ -380,7 +393,7 @@ bool MscBase::handle_handover(const Envelope& env) {
     net().spans().close(SpanKind::kHandoff, end->imsi.value(),
                         SpanOutcome::kOk, now());
     ++net().metrics().counter(name() + "/handoffs_completed");
-    ++ctx->handoff_epoch;  // disarm the handoff guard
+    cancel_timer(ctx->handoff_guard);
     NodeId old_bsc = ctx->bsc;
     ctx->handed_off = true;
     ctx->remote_msc = env.from;
@@ -487,10 +500,8 @@ bool MscBase::handle_map_message(const Envelope& env) {
 // --- A interface ------------------------------------------------------------------------------
 
 void MscBase::arm_procedure_guard(MsContext& ctx) {
-  ++ctx.guard_epoch;
-  std::uint64_t cookie = next_guard_cookie_++;
-  guards_[cookie] = {ctx.imsi, ctx.guard_epoch};
-  set_timer(config_.procedure_guard, cookie);
+  cancel_timer(ctx.guard);
+  ctx.guard = set_timer(config_.procedure_guard, guard_cookie(ctx.imsi));
 }
 
 void MscBase::abort_procedure(MsContext& ctx) {
@@ -531,22 +542,19 @@ void MscBase::abort_procedure(MsContext& ctx) {
   arm_procedure_guard(ctx);
 }
 
-void MscBase::on_timer(TimerId, std::uint64_t cookie) {
-  if (retx_.on_timer(cookie)) return;
-  if (const auto* guard = guards_.find(cookie); guard != nullptr) {
-    auto [imsi, epoch] = *guard;
-    guards_.erase(cookie);
-    MsContext* ctx = context(imsi);
-    if (ctx == nullptr || ctx->guard_epoch != epoch) return;
+void MscBase::on_timer(TimerId id, std::uint64_t cookie) {
+  if (retx_.on_timer(id, cookie)) return;
+  const Imsi imsi = guard_imsi(cookie);
+  MsContext* ctx = context(imsi);
+  // A guard acts only on the context that holds its id; one armed before a
+  // restart matches no context created since.
+  if (ctx == nullptr) return;
+  if (ctx->guard == id) {
     if (ctx->proc == Proc::kNone || ctx->step == Step::kActive) return;
     abort_procedure(*ctx);
     return;
   }
-  if (const auto* guard = handoff_guards_.find(cookie); guard != nullptr) {
-    auto [imsi, epoch] = *guard;
-    handoff_guards_.erase(cookie);
-    MsContext* ctx = context(imsi);
-    if (ctx == nullptr || ctx->handoff_epoch != epoch) return;
+  if (ctx->handoff_guard == id) {
     if (ctx->handed_off || !ctx->handover_target.valid()) return;
     VG_WARN("msc", name() << ": handoff attempt for " << imsi.to_string()
                           << " timed out; keeping call on serving cell");
@@ -559,14 +567,12 @@ void MscBase::on_timer(TimerId, std::uint64_t cookie) {
 
 void MscBase::on_restart() {
   // Everything keyed by a live subscriber is volatile: contexts, the call
-  // index, armed guards and pending retransmissions.  Clearing the cookie
-  // maps makes timers armed before the crash fire as no-ops.  Cell
-  // provisioning (own_cells_ / remote_cells_) is configuration and
-  // survives, as does next_guard_cookie_ so recycled cookies stay unique.
+  // index, armed guards and pending retransmissions.  A guard armed before
+  // the crash still fires, but its id went with its context, so it does
+  // nothing.  Cell provisioning (own_cells_ / remote_cells_) is
+  // configuration and survives.
   contexts_.clear();
   call_index_.clear();
-  guards_.clear();
-  handoff_guards_.clear();
   retx_.reset();
 }
 
@@ -574,6 +580,8 @@ void MscBase::remove_subscriber(Imsi imsi) {
   drop_requests(imsi);
   const MsContext* ctx = contexts_.find(imsi);
   if (ctx == nullptr) return;
+  cancel_timer(ctx->guard);
+  cancel_timer(ctx->handoff_guard);
   MsContext snapshot = *ctx;
   if (snapshot.call_ref.valid()) call_index_.erase(snapshot.call_ref);
   contexts_.erase(imsi);

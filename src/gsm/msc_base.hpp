@@ -92,14 +92,14 @@ class MscBase : public Node {
     Msisdn calling;
     Msisdn called;
 
-    std::uint64_t guard_epoch = 0;  // invalidates procedure guards
+    TimerId guard = 0;  // procedure guard; disarm_procedure_guard cancels it
 
     // Inter-system handoff.
     bool handed_off = false;  // anchor: MS now served by remote_msc
     bool handed_in = false;   // target: MS arrived from remote_msc (anchor)
     NodeId remote_msc;
     CellId handover_target;
-    std::uint64_t handoff_epoch = 0;  // invalidates handoff guards
+    TimerId handoff_guard = 0;  // anchor: supervises the attempt in flight
   };
 
   MscBase(std::string name, Config config)
@@ -239,7 +239,7 @@ class MscBase : public Node {
  private:
   void remove_subscriber(Imsi imsi);
   void arm_procedure_guard(MsContext& ctx);
-  void disarm_procedure_guard(MsContext& ctx) { ++ctx.guard_epoch; }
+  void disarm_procedure_guard(MsContext& ctx) { cancel_timer(ctx.guard); }
   void abort_procedure(MsContext& ctx);
   void begin_auth(MsContext& ctx);
   void continue_after_security(MsContext& ctx);
@@ -257,14 +257,6 @@ class MscBase : public Node {
   SubscriberTable<CallRef, Imsi> call_index_;
   std::unordered_map<CellId, std::string> own_cells_;
   std::unordered_map<CellId, std::string> remote_cells_;
-  // cookie -> (imsi, guard epoch at arm time)
-  SubscriberTable<std::uint64_t, std::pair<Imsi, std::uint64_t>> guards_;
-  // Anchor-side handoff supervision, keyed like guards_ but invalidated by
-  // MsContext::handoff_epoch so a completed or failed attempt makes any
-  // armed timer a no-op.
-  SubscriberTable<std::uint64_t, std::pair<Imsi, std::uint64_t>>
-      handoff_guards_;
-  std::uint64_t next_guard_cookie_ = 1;
 };
 
 }  // namespace vgprs

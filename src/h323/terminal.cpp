@@ -7,14 +7,11 @@ namespace vgprs {
 namespace {
 constexpr std::uint64_t kAnswerKind = 1;
 constexpr std::uint64_t kVoiceKind = 3;
-constexpr std::uint64_t make_cookie(std::uint64_t kind, std::uint64_t epoch) {
-  return (kind << 56) | (epoch & 0x00FFFFFFFFFFFFFFULL);
-}
 }  // namespace
 
 void H323Terminal::enter(State s) {
   state_ = s;
-  ++epoch_;
+  cancel_timer(timer_);
 }
 
 void H323Terminal::register_endpoint() {
@@ -141,17 +138,15 @@ void H323Terminal::send_voice_frame() {
   rtp->origin_us = now().count_micros();
   send_ip(remote_media_, *rtp);
   if (voice_remaining_ > 0) {
-    set_timer(voice_interval_, make_cookie(kVoiceKind, epoch_));
+    cancel_timer(timer_);
+    timer_ = set_timer(voice_interval_, kVoiceKind);
   }
 }
 
-void H323Terminal::on_timer(TimerId, std::uint64_t cookie) {
-  if (retx_.on_timer(cookie)) return;
-  std::uint64_t kind = cookie >> 56;
-  std::uint64_t epoch = cookie & 0x00FFFFFFFFFFFFFFULL;
-  if (epoch != epoch_) return;
-  if (kind == kAnswerKind && state_ == State::kRinging) answer();
-  if (kind == kVoiceKind) send_voice_frame();
+void H323Terminal::on_timer(TimerId id, std::uint64_t cookie) {
+  if (retx_.on_timer(id, cookie)) return;
+  if (cookie == kAnswerKind) answer();
+  if (cookie == kVoiceKind) send_voice_frame();
 }
 
 void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
@@ -224,7 +219,8 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
       send_ip(remote_signal_, *alert);
       if (on_incoming) on_incoming(call_ref_, peer_number_);
       if (config_.auto_answer) {
-        set_timer(config_.answer_delay, make_cookie(kAnswerKind, epoch_));
+        cancel_timer(timer_);
+        timer_ = set_timer(config_.answer_delay, kAnswerKind);
       }
       return;
     }
@@ -320,10 +316,14 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
         });
     return;
   }
+  // Call Proceeding (Fig. 6 step 2.4) and Alerting confirm our Setup:
+  // Q.931 stops T303, its Setup timer, on either.
   if (msg_cast<Q931CallProceeding>(&inner) != nullptr) {
+    retx_.ack(retx_key(RetxKind::kSetup));
     return;
   }
   if (const auto* alert = msg_cast<Q931Alerting>(&inner)) {
+    retx_.ack(retx_key(RetxKind::kSetup));
     if (state_ == State::kCalling && alert->call_ref == call_ref_) {
       enter(State::kRingback);
       if (on_ringback) on_ringback(call_ref_);

@@ -98,7 +98,7 @@ class H323Terminal : public IpEndpoint {
   IpAddress remote_signal_;
   IpAddress remote_media_;
   std::uint32_t call_seq_ = 0;
-  std::uint64_t epoch_ = 0;
+  TimerId timer_ = 0;  // the current state's timer; enter() cancels it
 
   std::uint32_t voice_remaining_ = 0;
   std::uint32_t voice_seq_ = 0;

@@ -9,10 +9,12 @@ namespace vgprs {
 namespace {
 constexpr std::uint64_t kAnswerKind = 1;
 constexpr std::uint64_t kVoiceKind = 3;
-constexpr std::uint64_t make_cookie(std::uint64_t kind, std::uint64_t epoch) {
-  return (kind << 56) | (epoch & 0x00FFFFFFFFFFFFFFULL);
-}
 }  // namespace
+
+void PstnPhone::enter(State s) {
+  state_ = s;
+  cancel_timer(timer_);
+}
 
 NodeId PstnPhone::exchange() const {
   Node* n = net().node_by_name(config_.switch_name);
@@ -22,8 +24,7 @@ NodeId PstnPhone::exchange() const {
 
 void PstnPhone::place_call(Msisdn called) {
   if (state_ != State::kIdle) return;
-  state_ = State::kDialing;
-  ++epoch_;
+  enter(State::kDialing);
   cic_ = allocate_cic();
   auto iam = pool_message<IsupIam>();
   iam->cic = cic_;
@@ -34,8 +35,7 @@ void PstnPhone::place_call(Msisdn called) {
 
 void PstnPhone::answer() {
   if (state_ != State::kIncoming) return;
-  state_ = State::kConnected;
-  ++epoch_;
+  enter(State::kConnected);
   auto anm = pool_message<IsupAnm>();
   anm->cic = cic_;
   send(exchange(), std::move(anm));
@@ -45,8 +45,7 @@ void PstnPhone::answer() {
 
 void PstnPhone::hangup() {
   if (state_ == State::kIdle) return;
-  state_ = State::kReleasing;
-  ++epoch_;
+  enter(State::kReleasing);
   auto rel = pool_message<IsupRel>();
   rel->cic = cic_;
   send(exchange(), std::move(rel));
@@ -67,16 +66,14 @@ void PstnPhone::send_voice_frame() {
   frame->origin_us = now().count_micros();
   send(exchange(), std::move(frame));
   if (voice_remaining_ > 0) {
-    set_timer(voice_interval_, make_cookie(kVoiceKind, epoch_));
+    cancel_timer(timer_);
+    timer_ = set_timer(voice_interval_, kVoiceKind);
   }
 }
 
 void PstnPhone::on_timer(TimerId, std::uint64_t cookie) {
-  std::uint64_t kind = cookie >> 56;
-  std::uint64_t epoch = cookie & 0x00FFFFFFFFFFFFFFULL;
-  if (epoch != epoch_) return;
-  if (kind == kAnswerKind) answer();
-  if (kind == kVoiceKind) send_voice_frame();
+  if (cookie == kAnswerKind) answer();
+  if (cookie == kVoiceKind) send_voice_frame();
 }
 
 void PstnPhone::on_message(const Envelope& env) {
@@ -90,28 +87,28 @@ void PstnPhone::on_message(const Envelope& env) {
       send(env.from, std::move(rel));
       return;
     }
-    state_ = State::kIncoming;
-    ++epoch_;
+    enter(State::kIncoming);
     cic_ = iam->cic;
     auto acm = pool_message<IsupAcm>();
     acm->cic = cic_;
     send(env.from, std::move(acm));
     if (on_incoming) on_incoming(iam->calling);
     if (config_.auto_answer) {
-      set_timer(config_.answer_delay, make_cookie(kAnswerKind, epoch_));
+      cancel_timer(timer_);
+      timer_ = set_timer(config_.answer_delay, kAnswerKind);
     }
     return;
   }
   if (const auto* acm = msg_cast<IsupAcm>(&msg)) {
     if (state_ == State::kDialing && acm->cic == cic_) {
-      state_ = State::kRinging;
+      enter(State::kRinging);
       if (on_ringback) on_ringback();
     }
     return;
   }
   if (const auto* anm = msg_cast<IsupAnm>(&msg)) {
     if (state_ == State::kRinging && anm->cic == cic_) {
-      state_ = State::kConnected;
+      enter(State::kConnected);
       if (on_connected) on_connected();
       if (voice_remaining_ > 0) send_voice_frame();
     }
@@ -122,15 +119,13 @@ void PstnPhone::on_message(const Envelope& env) {
     auto rlc = pool_message<IsupRlc>();
     rlc->cic = cic_;
     send(env.from, std::move(rlc));
-    state_ = State::kIdle;
-    ++epoch_;
+    enter(State::kIdle);
     if (on_released) on_released();
     return;
   }
   if (const auto* rlc = msg_cast<IsupRlc>(&msg)) {
     if (rlc->cic == cic_ && state_ == State::kReleasing) {
-      state_ = State::kIdle;
-      ++epoch_;
+      enter(State::kIdle);
       if (on_released) on_released();
     }
     return;

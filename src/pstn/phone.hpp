@@ -50,13 +50,14 @@ class PstnPhone final : public Node {
   void on_timer(TimerId id, std::uint64_t cookie) override;
 
  private:
+  void enter(State s);
   [[nodiscard]] NodeId exchange() const;
   void send_voice_frame();
 
   Config config_;
   State state_ = State::kIdle;
   Cic cic_ = 0;
-  std::uint64_t epoch_ = 0;
+  TimerId timer_ = 0;  // the current state's timer; enter() cancels it
 
   std::uint32_t voice_remaining_ = 0;
   std::uint32_t voice_seq_ = 0;

@@ -14,7 +14,8 @@ constexpr std::uint64_t kCookieRestart = 1;
 constexpr std::uint64_t kCookieLinkDown = 2;
 constexpr std::uint64_t kCookieLinkUp = 3;
 
-constexpr std::uint64_t cookie_of(std::uint64_t kind, std::size_t index) {
+constexpr std::uint64_t transition_cookie(std::uint64_t kind,
+                                          std::size_t index) {
   return (kind << 32) | static_cast<std::uint64_t>(index);
 }
 
@@ -117,16 +118,17 @@ std::vector<FaultInjector::Transition> FaultInjector::transitions() const {
               2 * schedule_.link_windows.size());
   for (std::size_t i = 0; i < schedule_.node_outages.size(); ++i) {
     const NodeOutage& o = schedule_.node_outages[i];
-    out.push_back({o.crash_at, cookie_of(kCookieCrash, i), outage_nodes_[i]});
     out.push_back(
-        {o.restart_at, cookie_of(kCookieRestart, i), outage_nodes_[i]});
+        {o.crash_at, transition_cookie(kCookieCrash, i), outage_nodes_[i]});
+    out.push_back({o.restart_at, transition_cookie(kCookieRestart, i),
+                   outage_nodes_[i]});
   }
   for (std::size_t i = 0; i < schedule_.link_windows.size(); ++i) {
     const LinkWindow& w = schedule_.link_windows[i];
-    out.push_back(
-        {w.down_at, cookie_of(kCookieLinkDown, i), window_nodes_[i].first});
-    out.push_back(
-        {w.up_at, cookie_of(kCookieLinkUp, i), window_nodes_[i].first});
+    out.push_back({w.down_at, transition_cookie(kCookieLinkDown, i),
+                   window_nodes_[i].first});
+    out.push_back({w.up_at, transition_cookie(kCookieLinkUp, i),
+                   window_nodes_[i].first});
   }
   return out;
 }

@@ -552,7 +552,9 @@ TimerId Network::set_timer(NodeId target, SimDuration delay,
     home.timer_slots.emplace_back();
   }
   TimerSlot& ts = home.timer_slots[slot];
-  ++ts.generation;  // retires every TimerId this slot handed out before
+  // Retires every TimerId this slot handed out before.  Generation 0 is
+  // skipped so that no armed timer's id is 0, which means "no timer".
+  if (++ts.generation == 0) ts.generation = 1;
   ts.armed = true;
 
   Event ev;
@@ -576,6 +578,9 @@ void Network::release_timer_slot(Shard& sh, std::uint32_t slot) {
 }
 
 void Network::cancel_timer(TimerId id) {
+  // 0 is "no timer": a node cancelling a timer it never armed must not
+  // touch shard 0's slot table from another shard's thread.
+  if (id == 0) return;
   const auto shard = static_cast<std::uint32_t>(id >> 56);
   const auto slot = static_cast<std::uint32_t>((id >> 32) & 0xFFFFFFu);
   const auto gen = static_cast<std::uint32_t>(id);

@@ -236,7 +236,11 @@ class Network {
   FaultInjector& install_faults(FaultSchedule schedule);
   [[nodiscard]] FaultInjector* faults() const { return fault_; }
 
+  /// Arms a timer that fires on_timer(id, cookie) at `target`.  The id is
+  /// never 0.
   TimerId set_timer(NodeId target, SimDuration delay, std::uint64_t cookie);
+  /// A cancelled timer is never delivered, though its event still pops at
+  /// its time.  Cancelling 0 ("no timer") or a stale id is a no-op.
   void cancel_timer(TimerId id);
 
   // --- execution ----------------------------------------------------------

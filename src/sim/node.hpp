@@ -38,6 +38,7 @@ struct Envelope {
   MessagePtr msg;
 };
 
+/// Identifies one armed timer; 0 means "no timer".
 using TimerId = std::uint64_t;
 
 class Node {
@@ -56,6 +57,7 @@ class Node {
   virtual void on_message(const Envelope& env) = 0;
 
   /// A timer set via Network::set_timer fired.  `cookie` is caller-defined.
+  /// A cancelled timer never gets here.
   virtual void on_timer(TimerId id, std::uint64_t cookie) {
     (void)id;
     (void)cookie;
@@ -65,18 +67,24 @@ class Node {
   virtual void on_attached() {}
 
   /// The node crashed and came back (FaultInjector node outage): volatile
-  /// state — procedure contexts, pending timers' meaning, caches — must be
-  /// reset here.  Durable state (provisioned subscribers, configuration)
-  /// survives.  Timers armed before the crash may still fire afterwards;
-  /// implementations must clear whatever lookup state gives those cookies
-  /// meaning, so stale firings are no-ops.
+  /// state — procedure contexts, caches — must be reset here.  Durable
+  /// state (provisioned subscribers, configuration) survives.
+  ///
+  /// Timers follow one rule: a node keeps the TimerId of the timer its
+  /// current state armed; arming a new one cancels the one it holds, and
+  /// leaving the state cancels it, so on_timer needs no staleness test.
+  /// A timer armed before the crash may still fire afterwards.  It does
+  /// nothing as long as the restart cancels it or drops its id: no state
+  /// created after the restart holds that id.
   virtual void on_restart() {}
 
  protected:
   /// Sends `msg` to `to` over the connecting link (asserts a link exists).
   void send(NodeId to, MessagePtr msg,
             SimDuration extra_delay = SimDuration::zero());
-  TimerId set_timer(SimDuration delay, std::uint64_t cookie = 0);
+  /// The id is the only way to cancel the timer, so it must be kept.
+  [[nodiscard]] TimerId set_timer(SimDuration delay,
+                                  std::uint64_t cookie = 0);
   void cancel_timer(TimerId id);
   [[nodiscard]] SimTime now() const;
 

@@ -6,18 +6,10 @@
 
 namespace vgprs {
 
-void Retransmitter::schedule(std::uint64_t key, Entry& entry) {
-  entry.cookie = kCookieTag | next_cookie_++;
-  entry.timer = owner_.net().set_timer(owner_.id(), entry.interval,
-                                       entry.cookie);
-  keys_[entry.cookie] = key;
-}
-
 void Retransmitter::arm(std::uint64_t key, std::function<void()> resend,
                         std::function<void()> give_up) {
   if (auto it = entries_.find(key); it != entries_.end()) {
     owner_.net().cancel_timer(it->second.timer);
-    keys_.erase(it->second.cookie);
     entries_.erase(it);
   }
   Entry entry;
@@ -25,7 +17,7 @@ void Retransmitter::arm(std::uint64_t key, std::function<void()> resend,
   entry.give_up = std::move(give_up);
   entry.interval = policy_.initial;
   entry.remaining = policy_.max_retries;
-  schedule(key, entry);
+  entry.timer = owner_.net().set_timer(owner_.id(), entry.interval, key);
   entries_.emplace(key, std::move(entry));
 }
 
@@ -33,19 +25,13 @@ bool Retransmitter::ack(std::uint64_t key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return false;
   owner_.net().cancel_timer(it->second.timer);
-  keys_.erase(it->second.cookie);
   entries_.erase(it);
   return true;
 }
 
-bool Retransmitter::on_timer(std::uint64_t cookie) {
-  if ((cookie & kCookieTag) != kCookieTag) return false;
-  auto key_it = keys_.find(cookie);
-  if (key_it == keys_.end()) return true;  // stale but still ours
-  const std::uint64_t key = key_it->second;
-  keys_.erase(key_it);
+bool Retransmitter::on_timer(TimerId id, std::uint64_t key) {
   auto it = entries_.find(key);
-  if (it == entries_.end()) return true;
+  if (it == entries_.end() || it->second.timer != id) return false;
   Entry& entry = it->second;
   if (entry.remaining <= 0) {
     // Exhausted: run give_up outside the map in case it re-arms this key.
@@ -65,7 +51,7 @@ bool Retransmitter::on_timer(std::uint64_t cookie) {
   ++owner_.net().metrics().counter("recovery/retransmits");
   // Resend may (in pathological states) ack or re-arm this key; schedule
   // the next copy first so the entry is consistent when it runs.
-  schedule(key, entry);
+  entry.timer = owner_.net().set_timer(owner_.id(), entry.interval, key);
   std::function<void()> resend = entry.resend;
   if (resend) resend();
   return true;
@@ -76,7 +62,6 @@ void Retransmitter::reset() {
     owner_.net().cancel_timer(entry.timer);
   }
   entries_.clear();
-  keys_.clear();
 }
 
 }  // namespace vgprs

@@ -6,19 +6,18 @@
 // give-up thunk runs (close the span as timeout, reject the procedure,
 // fall back — whatever the protocol calls for).
 //
-// The owner must forward its timer cookies here FIRST:
+// An exchange owns its timer: ack, re-arm and reset cancel it, so every
+// timer of ours that fires is current.  The timer's cookie is the exchange
+// key and each pending exchange keeps its TimerId, so the owner forwards
+// every timer here FIRST and the id alone tells ours from its own:
 //
 //   void on_timer(TimerId id, std::uint64_t cookie) override {
-//     if (retx_.on_timer(cookie)) return;
+//     if (retx_.on_timer(id, cookie)) return;
 //     Base::on_timer(id, cookie);
 //   }
 //
-// Cookies carry a high tag (0xF17E << 48) disjoint from the cookie schemes
-// used elsewhere in the tree (MscBase's small incrementing guard cookies,
-// MobileStation's kind << 56 with kinds 1–3), so the dispatch above cannot
-// misroute.  Retransmissions and give-ups are counted in the owning
-// network's MetricsRegistry under "recovery/retransmits" and
-// "recovery/give_ups".
+// Retransmissions and give-ups are counted in the owning network's
+// MetricsRegistry under "recovery/retransmits" and "recovery/give_ups".
 #pragma once
 
 #include <cstdint>
@@ -60,8 +59,9 @@ class Retransmitter {
   }
   [[nodiscard]] std::size_t pending_count() const { return entries_.size(); }
 
-  /// Owners call this first from on_timer; true = the cookie was ours.
-  bool on_timer(std::uint64_t cookie);
+  /// Owners call this first from on_timer, passing the cookie as `key`;
+  /// true = the timer was ours (the exchange `key` holds `id`).
+  bool on_timer(TimerId id, std::uint64_t key);
 
   /// Drops every pending exchange without firing give_up — the owner
   /// crashed and restarted; whatever was in flight is meaningless now.
@@ -70,26 +70,18 @@ class Retransmitter {
   [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
   [[nodiscard]] std::uint64_t give_ups() const { return give_ups_; }
 
-  /// High 16 bits of every cookie this class arms.
-  static constexpr std::uint64_t kCookieTag = 0xF17Eull << 48;
-
  private:
   struct Entry {
     std::function<void()> resend;
     std::function<void()> give_up;
     SimDuration interval;
     int remaining = 0;
-    std::uint64_t cookie = 0;
     TimerId timer = 0;
   };
 
-  void schedule(std::uint64_t key, Entry& entry);
-
   Node& owner_;
   Policy policy_;
-  std::unordered_map<std::uint64_t, Entry> entries_;      // key -> entry
-  std::unordered_map<std::uint64_t, std::uint64_t> keys_;  // cookie -> key
-  std::uint64_t next_cookie_ = 1;
+  std::unordered_map<std::uint64_t, Entry> entries_;  // key -> entry
   std::uint64_t retransmits_ = 0;
   std::uint64_t give_ups_ = 0;
 };

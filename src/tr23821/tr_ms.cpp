@@ -10,9 +10,6 @@ namespace {
 constexpr std::uint64_t kAnswerKind = 1;
 constexpr std::uint64_t kRingbackKind = 2;
 constexpr std::uint64_t kVoiceKind = 3;
-constexpr std::uint64_t make_cookie(std::uint64_t kind, std::uint64_t epoch) {
-  return (kind << 56) | (epoch & 0x00FFFFFFFFFFFFFFULL);
-}
 
 /// Extracts the IMSI (standing in for the TLLI) from any GPRS message the
 /// MS can receive on its SGSN link.
@@ -42,7 +39,7 @@ const Imsi* gprs_imsi(const Message& msg) {
 
 void TrMobileStation::enter(State s) {
   state_ = s;
-  ++epoch_;
+  cancel_timer(timer_);
 }
 
 NodeId TrMobileStation::sgsn() const {
@@ -312,22 +309,20 @@ void TrMobileStation::send_voice_frame() {
   rtp->origin_us = now().count_micros();
   send_tunneled(remote_media_, *rtp);
   if (voice_remaining_ > 0) {
-    set_timer(voice_interval_, make_cookie(kVoiceKind, epoch_));
+    cancel_timer(timer_);
+    timer_ = set_timer(voice_interval_, kVoiceKind);
   }
 }
 
-void TrMobileStation::on_timer(TimerId, std::uint64_t cookie) {
-  if (retx_.on_timer(cookie)) return;
-  std::uint64_t kind = cookie >> 56;
-  std::uint64_t epoch = cookie & 0x00FFFFFFFFFFFFFFULL;
-  if (epoch != epoch_) return;
-  if (kind == kAnswerKind && state_ == State::kRinging) answer();
-  if (kind == kRingbackKind && state_ == State::kRingback) {
+void TrMobileStation::on_timer(TimerId id, std::uint64_t cookie) {
+  if (retx_.on_timer(id, cookie)) return;
+  if (cookie == kAnswerKind) answer();
+  if (cookie == kRingbackKind) {
     // release_call closes the origination span for us (kRingback branch).
     if (on_failure) on_failure("ringback timed out");
     release_call(true, 102);
   }
-  if (kind == kVoiceKind) send_voice_frame();
+  if (cookie == kVoiceKind) send_voice_frame();
 }
 
 void TrMobileStation::on_message(const Envelope& env) {
@@ -560,7 +555,8 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
       send_tunneled(remote_signal_, *alert);
       if (on_incoming) on_incoming(call_ref_, peer_number_);
       if (config_.auto_answer) {
-        set_timer(config_.answer_delay, make_cookie(kAnswerKind, epoch_));
+        cancel_timer(timer_);
+        timer_ = set_timer(config_.answer_delay, kAnswerKind);
       }
       return;
     }
@@ -655,9 +651,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     retx_.ack(retx_key(RetxKind::kSetup));
     if (state_ == State::kCalling && alert->call_ref == call_ref_) {
       enter(State::kRingback);
-      // enter() bumped the epoch, so an answer or release invalidates this.
-      set_timer(config_.ringback_timeout,
-                make_cookie(kRingbackKind, epoch_));
+      timer_ = set_timer(config_.ringback_timeout, kRingbackKind);
       if (on_ringback) on_ringback(call_ref_);
     }
     return;

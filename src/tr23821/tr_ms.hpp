@@ -106,7 +106,7 @@ class TrMobileStation final : public Node {
   /// on again before any further service.
   void on_restart() override {
     retx_.reset();
-    state_ = State::kDetached;
+    enter(State::kDetached);
     attached_ = false;
     pdp_active_ = false;
     pdp_address_ = IpAddress{};
@@ -160,7 +160,7 @@ class TrMobileStation final : public Node {
   // the jittery Gb path; replayed once the context is up.
   std::shared_ptr<Q931Setup> pending_setup_;
   std::uint32_t call_seq_ = 0;
-  std::uint64_t epoch_ = 0;
+  TimerId timer_ = 0;  // the current state's timer; enter() cancels it
 
   std::uint32_t voice_remaining_ = 0;
   std::uint32_t voice_seq_ = 0;

@@ -111,6 +111,34 @@ TEST(FailureTest, VmscRestartMidCallForcesReregistration) {
   EXPECT_EQ(s->ms[0]->state(), MobileStation::State::kIdle);
 }
 
+TEST(FailureTest, GuardArmedBeforeVmscRestartIgnoresLaterContext) {
+  // The VMSC arms the origination's 45 s procedure guard at ~30.1 s, then
+  // crashes and comes back empty.  The MS re-registers under the same
+  // IMSI, and at 50 s a terminal call stalls in paging (the air interface
+  // is dead).  When the old guard fires at ~75 s the new context is mid
+  // procedure, but it does not hold that guard's id, so nothing aborts.
+  VgprsParams params;
+  auto s = build_vgprs(params);
+  FaultSchedule sched;
+  sched.node_outages.push_back(
+      {"VMSC", at_seconds(30) + SimDuration::millis(150), at_seconds(32)});
+  sched.link_windows.push_back(
+      {"MS1", "BTS", at_seconds(50), at_seconds(3600)});
+  s->net.install_faults(std::move(sched));
+  s->ms[0]->power_on();
+  s->terminals[0]->register_endpoint();
+  s->net.run_until(at_seconds(30));
+  ASSERT_EQ(s->ms[0]->state(), MobileStation::State::kIdle);
+
+  s->ms[0]->dial(make_subscriber(88, 1000).msisdn);
+  s->net.run_until(at_seconds(50));
+  ASSERT_GE(s->net.metrics().counter("recovery/reregistrations"), 1);
+  ASSERT_EQ(s->ms[0]->state(), MobileStation::State::kIdle);
+  s->terminals[0]->place_call(s->ms[0]->config().msisdn);
+  s->net.run_until(at_seconds(79));
+  EXPECT_EQ(s->net.metrics().counter("VMSC/procedures_aborted"), 0);
+}
+
 TEST(FailureTest, DuplicateSetupIsIdempotent) {
   // The first A_Setup of the origination is duplicated in flight: the VMSC
   // must absorb the copy — one call, one admission, one charging record.

@@ -3,7 +3,8 @@
 // TR 23.821 baseline — is compared byte-for-byte against golden traces
 // recorded with the seed engine.  Any event-engine change that reorders,
 // retimes, drops or duplicates a delivery fails here, not in a flaky
-// integration test.
+// integration test.  The fault-free scenarios also must not resend or give
+// up on any request.
 //
 // Regenerate the goldens (only when a behaviour change is intended) with:
 //   VGPRS_UPDATE_GOLDEN=1 ./test_golden_trace
@@ -84,6 +85,15 @@ void check_golden(const std::string& name, const std::string& actual) {
                 << "; details on stderr)";
 }
 
+/// Nothing fails in a fault-free run, so no request may be retransmitted
+/// or given up.  Each settle runs the queue dry: a request still armed
+/// when a call is left up (Fig. 6, TR 23.821) would be resent and given up
+/// (1 + 2 + 4 + 8 s) before this check.
+void expect_no_recovery(Network& net) {
+  EXPECT_EQ(net.metrics().counter("recovery/retransmits"), 0);
+  EXPECT_EQ(net.metrics().counter("recovery/give_ups"), 0);
+}
+
 TEST(GoldenTrace, Fig4RegistrationAndFig5CallCycle) {
   VgprsParams params;
   params.seed = 7;
@@ -99,6 +109,7 @@ TEST(GoldenTrace, Fig4RegistrationAndFig5CallCycle) {
   s->ms[0]->hangup();
   s->settle();
   check_golden("fig5_origination_release", canonical(s->net.trace()));
+  expect_no_recovery(s->net);
 }
 
 TEST(GoldenTrace, Fig6Termination) {
@@ -112,6 +123,7 @@ TEST(GoldenTrace, Fig6Termination) {
   s->terminals[0]->place_call(s->ms[0]->config().msisdn);
   s->settle();
   check_golden("fig6_termination", canonical(s->net.trace()));
+  expect_no_recovery(s->net);
 }
 
 TEST(GoldenTrace, Fig7ClassicTromboning) {
@@ -124,6 +136,7 @@ TEST(GoldenTrace, Fig7ClassicTromboning) {
   s->caller->place_call(s->roamer_id.msisdn);
   s->settle();
   check_golden("fig7_tromboning_classic", canonical(s->net.trace()));
+  expect_no_recovery(s->net);
 }
 
 TEST(GoldenTrace, Fig8VgprsLocalDelivery) {
@@ -136,6 +149,7 @@ TEST(GoldenTrace, Fig8VgprsLocalDelivery) {
   s->caller->place_call(s->roamer_id.msisdn);
   s->settle();
   check_golden("fig8_tromboning_vgprs", canonical(s->net.trace()));
+  expect_no_recovery(s->net);
 }
 
 TEST(GoldenTrace, Fig9Handoff) {
@@ -151,6 +165,7 @@ TEST(GoldenTrace, Fig9Handoff) {
                              CellId(202));
   s->settle();
   check_golden("fig9_handoff", canonical(s->net.trace()));
+  expect_no_recovery(s->net);
 }
 
 // Fault-path equivalence: the recovery sequences themselves are pinned, so
@@ -211,6 +226,7 @@ TEST(GoldenTrace, Tr23821RegistrationAndCalls) {
   s->terminals[0]->place_call(make_subscriber(88, 1).msisdn);
   s->settle();
   check_golden("tr23821_call_cycle", canonical(s->net.trace()));
+  expect_no_recovery(s->net);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // keeps converting voice to VoIP.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "flow_assert.hpp"
 #include "sim/fault.hpp"
 #include "vgprs/flows.hpp"
@@ -113,6 +116,34 @@ TEST_P(HandoffTest, UnreachableTargetGuardKeepsCallOnServingCell) {
   // The abandoned attempt left no handoff residue: voice still flows on
   // the original cell in both directions.
   s_->net.trace().clear();
+  s_->ms->start_voice(5);
+  s_->terminal->start_voice(5);
+  s_->settle();
+  EXPECT_EQ(s_->terminal->voice_frames_received(), 5u);
+  EXPECT_EQ(s_->ms->voice_frames_received(), 5u);
+}
+
+TEST_P(HandoffTest, PrepareAckAfterGuardExpiryIsIgnored) {
+  // The target's MAP_Prepare_Handover_ack is held back 31 s, past the
+  // anchor's 30 s handoff guard.  When it lands no handover is pending, so
+  // the anchor must drop it; commanding the MS toward the cleared target
+  // cell would make it fail the handover and drop the call.
+  const char* target = GetParam() ? "VMSC-B" : "MSC-B";
+  MessageFault late{
+      MessagePredicate{"MAP_Prepare_Handover_ack", target, "VMSC", 1, 1},
+      FaultKind::kReorder};
+  late.reorder_delay = SimDuration::seconds(31);
+  FaultSchedule sched;
+  sched.message_faults.push_back(late);
+  s_->net.install_faults(std::move(sched));
+  std::vector<std::string> failures;
+  s_->ms->on_failure = [&](std::string why) { failures.push_back(why); };
+  trigger_handoff();
+  EXPECT_EQ(s_->net.faults()->faults_applied(0), 1u);
+  EXPECT_EQ(s_->net.metrics().counter("VMSC/handoffs_failed"), 1);
+  EXPECT_EQ(s_->net.trace().count("A_Handover_Command"), 0u);
+  EXPECT_TRUE(failures.empty()) << failures.front();
+  EXPECT_EQ(s_->ms->state(), MobileStation::State::kConnected);
   s_->ms->start_voice(5);
   s_->terminal->start_voice(5);
   s_->settle();

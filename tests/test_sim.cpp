@@ -10,6 +10,7 @@
 #include "h323/messages.hpp"
 #include "sim/network.hpp"
 #include "sim/proto.hpp"
+#include "sim/retransmit.hpp"
 #include "sim/stats.hpp"
 #include "vgprs/scenario.hpp"
 
@@ -227,6 +228,97 @@ TEST_F(SimTest, ManyCancelledTimersDoNotAccumulateState) {
   net.run_until_idle();
   ASSERT_EQ(a.timer_cookies.size(), 1u);
   EXPECT_EQ(a.timer_cookies[0], 1u);
+}
+
+/// Owns a Retransmitter and logs what reaches it: each resend and give-up
+/// at its sim time, and every timer the retransmitter did not claim.
+class RetxOwner final : public Node {
+ public:
+  explicit RetxOwner(std::string name) : Node(std::move(name)) {}
+
+  void on_message(const Envelope&) override {}
+  void on_timer(TimerId id, std::uint64_t cookie) override {
+    if (!retx.on_timer(id, cookie)) own_timers.push_back(cookie);
+  }
+  void arm(std::uint64_t key) {
+    retx.arm(key, [this] { resends.push_back(now().as_millis()); },
+             [this] { give_ups.push_back(now().as_millis()); });
+  }
+
+  Retransmitter retx{*this};
+  std::vector<double> resends;   // ms
+  std::vector<double> give_ups;  // ms
+  std::vector<std::uint64_t> own_timers;
+};
+
+TEST_F(SimTest, RetransmitterBacksOffThenGivesUp) {
+  Network net;
+  auto& o = net.add<RetxOwner>("o");
+  o.arm(7);
+  net.run_until_idle();
+  // Default policy: 1 s, doubling, 3 retries, then the give-up.
+  EXPECT_EQ(o.resends, (std::vector<double>{1000, 3000, 7000}));
+  EXPECT_EQ(o.give_ups, std::vector<double>{15000});
+  EXPECT_EQ(o.retx.retransmits(), 3u);
+  EXPECT_EQ(o.retx.give_ups(), 1u);
+  EXPECT_EQ(net.metrics().counter("recovery/retransmits"), 3);
+  EXPECT_EQ(net.metrics().counter("recovery/give_ups"), 1);
+  EXPECT_FALSE(o.retx.pending(7));
+  EXPECT_TRUE(o.own_timers.empty());
+}
+
+TEST_F(SimTest, RetransmitterAckCancelsThePendingTimer) {
+  Network net;
+  auto& o = net.add<RetxOwner>("o");
+  o.arm(7);
+  net.run_until(SimTime::from_micros(500'000));
+  EXPECT_TRUE(o.retx.ack(7));
+  EXPECT_FALSE(o.retx.ack(7));  // a duplicate response is a no-op
+  net.run_until_idle();
+  EXPECT_TRUE(o.resends.empty());
+  EXPECT_TRUE(o.give_ups.empty());
+  EXPECT_EQ(net.stats().timers_fired, 0u);
+  // The cancelled timer still pops at its time: the clock ends where it
+  // would have ended had the timer fired.
+  EXPECT_EQ(net.now().as_millis(), 1000.0);
+}
+
+TEST_F(SimTest, RetransmitterRearmRestartsTheSchedule) {
+  Network net;
+  auto& o = net.add<RetxOwner>("o");
+  o.arm(7);
+  net.run_until(SimTime::from_micros(2'500'000));
+  o.arm(7);
+  net.run_until_idle();
+  EXPECT_EQ(o.resends, (std::vector<double>{1000, 3500, 5500, 9500}));
+  EXPECT_EQ(o.give_ups, std::vector<double>{17500});
+}
+
+TEST_F(SimTest, RetransmitterResetDropsEveryExchangeWithoutGiveUp) {
+  Network net;
+  auto& o = net.add<RetxOwner>("o");
+  o.arm(7);
+  o.arm(8);
+  EXPECT_EQ(o.retx.pending_count(), 2u);
+  o.retx.reset();
+  EXPECT_EQ(o.retx.pending_count(), 0u);
+  net.run_until_idle();
+  EXPECT_TRUE(o.resends.empty());
+  EXPECT_TRUE(o.give_ups.empty());
+  EXPECT_EQ(net.stats().timers_fired, 0u);
+}
+
+TEST_F(SimTest, RetransmitterLeavesOwnerTimerWithAPendingKeyAlone) {
+  // The owner's own timer carries a cookie equal to a pending key; only
+  // the TimerId tells the two apart.
+  Network net;
+  auto& o = net.add<RetxOwner>("o");
+  o.arm(7);
+  net.set_timer(o.id(), SimDuration::millis(500), 7);
+  net.run_until(SimTime::from_micros(1'500'000));
+  EXPECT_EQ(o.own_timers, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(o.resends, std::vector<double>{1000});
+  EXPECT_TRUE(o.retx.pending(7));
 }
 
 TEST_F(SimTest, DisabledTraceRecordsNothingButDelivers) {

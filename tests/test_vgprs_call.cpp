@@ -209,6 +209,28 @@ TEST_F(CallTest, MsToMsCallThroughHairpin) {
   EXPECT_EQ(s->ms[1]->state(), MobileStation::State::kIdle);
 }
 
+TEST(TimerCountTest, OnlyTheAutoAnswerFiresOnAFaultFreeCallCycle) {
+  // Every guard and retransmission ends with the state that armed it, so
+  // on a fault-free network the one timer that fires is the callee's
+  // auto-answer.
+  VgprsParams params;
+  params.num_ms = 2;
+  auto s = build_vgprs(params);
+  s->ms[0]->power_on();
+  s->ms[1]->power_on();
+  s->settle();
+  ASSERT_EQ(s->ms[1]->state(), MobileStation::State::kIdle);
+  EXPECT_EQ(s->net.stats().timers_fired, 0u);
+
+  s->ms[0]->dial(s->ms[1]->config().msisdn);
+  s->settle();
+  ASSERT_EQ(s->ms[1]->state(), MobileStation::State::kConnected);
+  s->ms[0]->hangup();
+  s->settle();
+  ASSERT_EQ(s->ms[1]->state(), MobileStation::State::kIdle);
+  EXPECT_EQ(s->net.stats().timers_fired, 1u);
+}
+
 /// One terminal->MS call into a single cell camping `num_ms` MSs; the last
 /// MS is the callee.
 struct PagedCall {
