@@ -12,12 +12,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "sim/export.hpp"
 
 namespace vgprs {
 namespace {
@@ -164,13 +163,15 @@ BENCHMARK(BM_ShardedCallMix)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Capture-overhead ablation for the binary trace format: the same 8-worker
-// call mix as BM_ShardedCallMix, with range(1) selecting what records each
-// delivery.  0 = nothing (kDisabled baseline), 1 = full tracing + JSONL
-// formatting per wave (the pre-btrace way to keep a complete record),
-// 2 = binary ring capture (packed integer stores, no formatting).  The
-// events/s ratio of rows 2 and 0 is the acceptance number: binary capture
-// must cost <= 10% at the 10k-subscriber mix.
+// Recording-overhead ablation: the same 8-worker call mix as
+// BM_ShardedCallMix, with range(1) selecting what each delivery costs.
+// 0 = nothing recorded (kDisabled baseline), 1 = the trace records every
+// delivery (one TraceRecord: key, endpoint ids, message reference),
+// 2 = recorded, plus a btrace segment written to a discarding stream each
+// iteration (wire images are encoded at write time).  Every iteration
+// clears what it recorded: no ring bounds the trace, only clear() does.
+// The events/s ratios of rows 1 and 2 to row 0 are the recording costs
+// EXPERIMENTS.md §CAP reports; no bound is asserted on them.
 void BM_CaptureOverhead(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const int mode = static_cast<int>(state.range(1));
@@ -182,13 +183,7 @@ void BM_CaptureOverhead(benchmark::State& state) {
   params.sharded = true;
   params.workers = 8;
   auto s = build_vgprs(params);
-  s->net.trace().set_mode(mode == 1 ? TraceMode::kFull
-                                    : TraceMode::kDisabled);
-  if (mode == 2) {
-    CaptureConfig cfg;
-    cfg.ring_bytes_per_shard = 1u << 20;  // 1 MiB/shard, overwrite-oldest
-    s->net.enable_capture(cfg);
-  }
+  s->net.trace().set_mode(TraceMode::kDisabled);
   const std::size_t wave = 16u * 4096u;
   for (std::size_t base = 0; base < s->ms.size(); base += wave) {
     const std::size_t end = std::min(s->ms.size(), base + wave);
@@ -199,7 +194,9 @@ void BM_CaptureOverhead(benchmark::State& state) {
     state.SkipWithError("registration incomplete");
     return;
   }
-  if (mode == 1) s->net.trace().clear();
+  if (mode == 1) s->net.trace().set_mode(TraceMode::kFull);
+  if (mode == 2) s->net.enable_capture();
+  std::ostream discard(nullptr);
   const std::size_t pairs = std::min<std::size_t>(s->ms.size() / 2, 2048);
   std::uint64_t delivered = 0;
   for (auto _ : state) {
@@ -213,20 +210,16 @@ void BM_CaptureOverhead(benchmark::State& state) {
     }
     s->settle();
     delivered += s->net.stats().messages_delivered - before;
-    if (mode == 1) {
-      // The JSONL row pays its formatting cost inside the timed region,
-      // exactly as a capture-to-disk run would; the bytes are discarded.
-      std::ostringstream sink;
-      write_trace_jsonl(sink, s->net.trace());
-      benchmark::DoNotOptimize(sink);
-      s->net.trace().clear();
+    if (mode == 2) {
+      s->net.write_capture_segment(discard, "vgprs", 0, MetricsSnapshot{});
     }
+    s->net.trace().clear();
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(delivered), benchmark::Counter::kIsRate);
-  state.SetLabel(mode == 0   ? "capture off"
-                 : mode == 1 ? "JSONL tracing"
-                             : "binary capture");
+  state.SetLabel(mode == 0   ? "trace off"
+                 : mode == 1 ? "recorded"
+                             : "recorded + segment");
 }
 BENCHMARK(BM_CaptureOverhead)
     ->Args({10000, 0})
@@ -387,10 +380,10 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
       report.add("capture_overhead_10k_off", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));
     } else if (name.find("BM_CaptureOverhead/10000/1") != std::string::npos) {
-      report.add("capture_overhead_10k_jsonl", "events_per_s", "1/s",
+      report.add("capture_overhead_10k_recorded", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));
     } else if (name.find("BM_CaptureOverhead/10000/2") != std::string::npos) {
-      report.add("capture_overhead_10k_btrace", "events_per_s", "1/s",
+      report.add("capture_overhead_10k_segment", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));
     } else if (name.find("BM_CaptureOverhead/100000/0") !=
                std::string::npos) {
@@ -398,11 +391,11 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
                  counter_rate(run, "events/s"));
     } else if (name.find("BM_CaptureOverhead/100000/1") !=
                std::string::npos) {
-      report.add("capture_overhead_100k_jsonl", "events_per_s", "1/s",
+      report.add("capture_overhead_100k_recorded", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));
     } else if (name.find("BM_CaptureOverhead/100000/2") !=
                std::string::npos) {
-      report.add("capture_overhead_100k_btrace", "events_per_s", "1/s",
+      report.add("capture_overhead_100k_segment", "events_per_s", "1/s",
                  counter_rate(run, "events/s"));
     } else if (name.find("BM_CodecRoundTrip") != std::string::npos) {
       report.add("codec", "roundtrip_ns", "ns", ns_per_op(run));

@@ -22,13 +22,13 @@ std::vector<std::string> path_of(const TraceRecorder& trace,
                                  const std::string& needle) {
   std::vector<std::string> path;
   for (const auto& e : trace.entries()) {
-    if (e.summary.find(needle) == std::string::npos &&
+    if (e.summary().find(needle) == std::string::npos &&
         e.message.find(needle) == std::string::npos) {
       continue;
     }
-    if (path.empty()) path.push_back(e.from);
-    if (path.back() != e.from) path.push_back(e.from);
-    path.push_back(e.to);
+    if (path.empty()) path.emplace_back(e.from);
+    if (path.back() != e.from) path.emplace_back(e.from);
+    path.emplace_back(e.to);
   }
   // collapse consecutive duplicates
   std::vector<std::string> out;
@@ -132,8 +132,8 @@ int main(int argc, char** argv) {
     s->settle();
     std::set<std::pair<std::string, std::string>> pairs;
     for (const auto& e : s->net.trace().entries()) {
-      if (e.from == "VMSC") pairs.insert({e.from, e.to});
-      if (e.to == "VMSC") pairs.insert({e.to, e.from});
+      if (e.from == "VMSC") pairs.emplace(e.from, e.to);
+      if (e.to == "VMSC") pairs.emplace(e.to, e.from);
     }
     Table t({"VMSC peer", "interface", "protocol"});
     for (const auto& [self, peer] : pairs) {
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     s->settle();
     CounterSet counts;
     for (const auto& e : s->net.trace().entries()) {
-      std::string prefix = e.message.substr(0, e.message.find('_'));
+      const std::string prefix(e.message.substr(0, e.message.find('_')));
       counts.bump(prefix);
     }
     Table t({"message family", "count"});

@@ -45,8 +45,8 @@ int main() {
     if (e.message.find("Handover") != std::string::npos ||
         e.message.find("End_Signal") != std::string::npos ||
         e.message == "A_Clear_Command") {
-      std::printf("  %-8s -> %-8s %s\n", e.from.c_str(), e.to.c_str(),
-                  e.message.c_str());
+      std::printf("  %-8s -> %-8s %s\n", std::string(e.from).c_str(),
+                  std::string(e.to).c_str(), std::string(e.message).c_str());
     }
   }
   std::printf("call still connected: %s\n",

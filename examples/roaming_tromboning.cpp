@@ -60,8 +60,8 @@ void run(const char* title, bool use_vgprs) {
     if (e.message.starts_with("ISUP") || e.message.starts_with("MAP") ||
         e.message.starts_with("RAS") || e.message.starts_with("Q931") ||
         e.message == "A_Paging") {
-      std::printf("  %-12s -> %-12s %s\n", e.from.c_str(), e.to.c_str(),
-                  e.message.c_str());
+      std::printf("  %-12s -> %-12s %s\n", std::string(e.from).c_str(),
+                  std::string(e.to).c_str(), std::string(e.message).c_str());
       if (++shown == 18) break;
     }
   }

@@ -28,20 +28,30 @@ NodeId Bsc::msc() const {
 }
 
 NodeId Bsc::bts_for(const Imsi& imsi) const {
-  auto it = bts_by_imsi_.find(imsi);
-  return it == bts_by_imsi_.end() ? NodeId{} : it->second;
+  auto it = ms_.find(imsi);
+  return it == ms_.end() ? NodeId{} : it->second.bts;
+}
+
+void Bsc::release_channels(const Imsi& imsi) {
+  auto it = ms_.find(imsi);
+  if (it == ms_.end()) return;
+  MsRadio& radio = it->second;
+  if (radio.sdcch) --sdcch_in_use_;
+  if (radio.tch) --tch_in_use_;
+  radio.sdcch = false;
+  radio.tch = false;
 }
 
 void Bsc::on_message(const Envelope& env) {
   // --- radio resource management, handled locally --------------------------
   if (const auto* cr = msg_cast<AbisChannelRequest>(env.msg.get())) {
-    note_ms(cr->imsi, env.from);
-    if (sdcch_in_use_ >= config_.sdcch_channels) {
+    MsRadio& radio = ms_[cr->imsi];
+    radio.bts = env.from;
+    if (!take(radio.sdcch, sdcch_in_use_, config_.sdcch_channels)) {
       VG_WARN("bsc", name() << ": SDCCH congestion, request from "
                             << cr->imsi.to_string() << " dropped");
       return;  // the MS's request timer will expire
     }
-    ++sdcch_in_use_;
     auto out = pool_message<AbisImmediateAssignment>();
     out->imsi = cr->imsi;
     out->channel = next_channel_++;
@@ -49,12 +59,12 @@ void Bsc::on_message(const Envelope& env) {
     return;
   }
   if (const auto* ar = msg_cast<AAssignmentRequest>(env.msg.get())) {
-    if (tch_in_use_ >= config_.tch_channels) {
+    MsRadio& radio = ms_[ar->imsi];
+    if (!take(radio.tch, tch_in_use_, config_.tch_channels)) {
       VG_WARN("bsc", name() << ": TCH congestion for " << ar->imsi.to_string());
       return;
     }
-    ++tch_in_use_;
-    NodeId bts = bts_for(ar->imsi);
+    const NodeId bts = radio.bts;
     if (!bts.valid()) return;
     auto out = pool_message<AbisAssignmentCommand>();
     out->imsi = ar->imsi;
@@ -64,8 +74,7 @@ void Bsc::on_message(const Envelope& env) {
     return;
   }
   if (const auto* clear = msg_cast<AClearCommand>(env.msg.get())) {
-    if (sdcch_in_use_ > 0) --sdcch_in_use_;
-    if (tch_in_use_ > 0) --tch_in_use_;
+    release_channels(clear->imsi);
     auto out = pool_message<AClearComplete>();
     out->imsi = clear->imsi;
     out->call_ref = clear->call_ref;
@@ -89,11 +98,10 @@ void Bsc::on_message(const Envelope& env) {
     ack->imsi = hreq->imsi;
     ack->call_ref = hreq->call_ref;
     ack->target_cell = hreq->target_cell;
-    if (tch_in_use_ >= config_.tch_channels ||
-        !bts_by_cell_.contains(hreq->target_cell)) {
+    if (!bts_by_cell_.contains(hreq->target_cell) ||
+        !take(ms_[hreq->imsi].tch, tch_in_use_, config_.tch_channels)) {
       ack->channel = 0;  // failure indication
     } else {
-      ++tch_in_use_;
       ack->channel = next_channel_++;
     }
     send(env.from, std::move(ack));
@@ -143,9 +151,10 @@ void Bsc::on_message(const Envelope& env) {
   if (relay_down<AReleaseComplete, AbisReleaseComplete>(env)) return;
   if (relay_down<AHandoverCommand, AbisHandoverCommand>(env)) return;
   if (relay_down<AVoiceFrame, AbisVoiceFrame>(env)) return;
-  if (relay_down<ALocationUpdateReject, AbisLocationUpdateReject>(env))
+  if (relay_reject<ALocationUpdateReject, AbisLocationUpdateReject>(env)) {
     return;
-  if (relay_down<ACmServiceReject, AbisCmServiceReject>(env)) return;
+  }
+  if (relay_reject<ACmServiceReject, AbisCmServiceReject>(env)) return;
 
   VG_WARN("bsc", name() << ": unhandled " << env.msg->name());
 }

@@ -43,9 +43,29 @@ class Bsc final : public Node {
   void on_message(const Envelope& env) override;
 
  private:
+  /// What the BSC knows of one MS: the BTS it was last heard on, and the
+  /// radio channels it holds.
+  struct MsRadio {
+    NodeId bts;
+    bool sdcch = false;
+    bool tch = false;
+  };
+
   [[nodiscard]] NodeId msc() const;
   [[nodiscard]] NodeId bts_for(const Imsi& imsi) const;
-  void note_ms(const Imsi& imsi, NodeId bts) { bts_by_imsi_[imsi] = bts; }
+  void note_ms(const Imsi& imsi, NodeId bts) { ms_[imsi].bts = bts; }
+  /// Frees whichever channels `imsi` holds.
+  void release_channels(const Imsi& imsi);
+  /// Takes a channel from a pool of `capacity` for an MS whose `held` flag
+  /// marks it; a repeated request keeps the one it holds.  False when the
+  /// pool is exhausted.
+  static bool take(bool& held, std::uint16_t& in_use, std::uint16_t capacity) {
+    if (held) return true;
+    if (in_use >= capacity) return false;
+    held = true;
+    ++in_use;
+    return true;
+  }
 
   template <typename From, typename To>
   bool relay(const Envelope& env, NodeId dest) {
@@ -75,8 +95,17 @@ class Bsc final : public Node {
     return relay<From, To>(env, bts);
   }
 
+  /// A reject ends the MS's dedicated connection: relay it, then free the
+  /// channels the request came in on.
+  template <typename From, typename To>
+  bool relay_reject(const Envelope& env) {
+    if (!relay_down<From, To>(env)) return false;
+    release_channels(msg_cast<From>(env.msg.get())->imsi);
+    return true;
+  }
+
   Config config_;
-  std::unordered_map<Imsi, NodeId> bts_by_imsi_;
+  std::unordered_map<Imsi, MsRadio> ms_;
   std::unordered_map<CellId, NodeId> bts_by_cell_;
   std::uint16_t sdcch_in_use_ = 0;
   std::uint16_t tch_in_use_ = 0;

@@ -11,10 +11,6 @@ namespace vgprs {
 
 namespace {
 
-// Chunk granularity of the per-shard ring.  Records never span chunks, so
-// ring eviction (dropping the oldest chunk) always drops whole records.
-constexpr std::size_t kChunkBytes = 64 * 1024;
-
 void append_key(ByteWriter& w, const DispatchKey& key) {
   w.u64(static_cast<std::uint64_t>(key.at.count_micros()));
   w.u64(static_cast<std::uint64_t>(key.sent_at.count_micros()));
@@ -55,99 +51,26 @@ void append_btrace_record(std::vector<std::uint8_t>& dst, BtraceRecord kind,
   dst.insert(dst.end(), payload.begin(), payload.end());
 }
 
-// --- BtraceShardBuffer ------------------------------------------------------
-
-void BtraceShardBuffer::configure(std::size_t ring_bytes) {
-  clear();
-  ring_bytes_ = ring_bytes;
-  // Eviction retires whole chunks, and the chunk being written is never
-  // evicted — so a bounded ring needs several chunks inside the bound or a
-  // small bound would never evict at all.  Target ~4 chunks per ring, with
-  // a floor big enough that typical records don't each force a fresh chunk.
-  chunk_bytes_ = ring_bytes == 0
-                     ? kChunkBytes
-                     : std::min(kChunkBytes,
-                                std::max<std::size_t>(256, ring_bytes / 4));
-  dropped_records_ = 0;
-  dropped_bytes_ = 0;
-}
-
-void BtraceShardBuffer::clear() {
-  for (Chunk& c : chunks_) {
-    c.data.clear();
-    c.records = 0;
-    free_.push_back(std::move(c));
-  }
-  chunks_.clear();
-  bytes_ = 0;
-}
-
-BtraceShardBuffer::Chunk& BtraceShardBuffer::chunk_for(
-    std::size_t record_bytes) {
-  // Size check, not capacity check: recycled chunks keep whatever capacity
-  // they grew to, and overfilling one would stretch the eviction granularity
-  // past what configure() chose for the ring bound.
-  const std::size_t target = chunk_bytes_ == 0 ? kChunkBytes : chunk_bytes_;
-  if (!chunks_.empty() &&
-      chunks_.back().data.size() + record_bytes <= target) {
-    return chunks_.back();
-  }
-  Chunk fresh;
-  if (!free_.empty()) {
-    fresh = std::move(free_.back());
-    free_.pop_back();
-  }
-  fresh.data.reserve(std::max(target, record_bytes));
-  chunks_.push_back(std::move(fresh));
-  return chunks_.back();
-}
-
-void BtraceShardBuffer::commit(BtraceRecord kind) {
-  const std::size_t total = kBtraceHeaderSize + scratch_.size();
-  Chunk& chunk = chunk_for(total);
-  append_btrace_record(chunk.data, kind, scratch_.data());
-  ++chunk.records;
-  bytes_ += total;
-  // Ring bound: retire whole chunks of oldest records.  The chunk being
-  // written is never evicted, so the newest record always survives.
-  while (ring_bytes_ != 0 && bytes_ > ring_bytes_ && chunks_.size() > 1) {
-    Chunk& oldest = chunks_.front();
-    bytes_ -= oldest.data.size();
-    dropped_bytes_ += oldest.data.size();
-    dropped_records_ += oldest.records;
-    oldest.data.clear();
-    oldest.records = 0;
-    free_.push_back(std::move(oldest));
-    chunks_.pop_front();
-  }
-}
-
-void BtraceShardBuffer::trace(const DispatchKey& key, std::uint32_t from,
-                              std::uint32_t to, const Message& msg) {
-  scratch_.clear();
-  append_key(scratch_, key);
-  scratch_.u32(from);
-  scratch_.u32(to);
-  msg.encode_to(scratch_);
-  commit(BtraceRecord::kTrace);
-}
-
-void BtraceShardBuffer::fault(const DispatchKey& key, SimTime at,
-                              std::string_view from, std::string_view to,
-                              std::string_view what, std::string_view detail) {
-  scratch_.clear();
-  append_key(scratch_, key);
-  scratch_.u64(static_cast<std::uint64_t>(at.count_micros()));
-  scratch_.str(from);
-  scratch_.str(to);
-  scratch_.str(what);
-  scratch_.str(detail);
-  commit(BtraceRecord::kFault);
-}
-
-void BtraceShardBuffer::drain_to(std::vector<std::uint8_t>& out) const {
-  for (const Chunk& c : chunks_) {
-    out.insert(out.end(), c.data.begin(), c.data.end());
+void append_btrace_trace(std::vector<std::uint8_t>& dst,
+                         const TraceRecorder& trace) {
+  ByteWriter p;
+  for (const TraceRecord& r : trace.records()) {
+    p.clear();
+    append_key(p, r.key);
+    if (const auto* note = msg_cast<TraceNote>(r.msg.get())) {
+      const TraceEntry e = trace.entry(r);
+      p.u64(static_cast<std::uint64_t>(note->at.count_micros()));
+      p.str(e.from);
+      p.str(e.to);
+      p.str(note->what);
+      p.str(note->detail);
+      append_btrace_record(dst, BtraceRecord::kFault, p.data());
+    } else {
+      p.u32(r.from.value());
+      p.u32(r.to.value());
+      r.msg->encode_to(p);
+      append_btrace_record(dst, BtraceRecord::kTrace, p.data());
+    }
   }
 }
 
@@ -495,7 +418,12 @@ Result<RawFile> parse_file(std::span<const std::uint8_t> file) {
   return out;
 }
 
-Result<TraceEntry> materialize(const TraceRec& rec, const RawSegment& seg) {
+/// Decodes one kTrace/kFault record into an entry of `run`, which takes
+/// ownership of the decoded message or fault note (and the fault's endpoint
+/// names) the entry views.
+Result<TraceEntry> materialize(
+    const TraceRec& rec, const std::map<std::uint32_t, std::string_view>& nodes,
+    DecodedRun& run) {
   ByteReader r(rec.payload);
   (void)read_key(r);
   auto fail = [&](ErrorCode code, const char* what) {
@@ -504,15 +432,19 @@ Result<TraceEntry> materialize(const TraceRec& rec, const RawSegment& seg) {
                                       what)};
   };
   if (rec.fault) {
-    TraceEntry e;
-    e.at = SimTime::from_micros(static_cast<std::int64_t>(r.u64()));
-    e.from = r.str();
-    e.to = r.str();
-    e.message = r.str();
-    e.summary = r.str();
+    const SimTime at = SimTime::from_micros(static_cast<std::int64_t>(r.u64()));
+    std::string from = r.str();
+    std::string to = r.str();
+    std::string what = r.str();
+    std::string detail = r.str();
     if (!r.exhausted()) {
       return fail(ErrorCode::kDecodeTruncated, "malformed fault record");
     }
+    auto note = pool_message<TraceNote>(at, std::move(what), std::move(detail));
+    const TraceEntry e{at, run.names->emplace_back(std::move(from)),
+                       run.names->emplace_back(std::move(to)), note->name(),
+                       note.get()};
+    run.messages.push_back(std::move(note));
     return e;
   }
   const std::uint32_t from = r.u32();
@@ -520,17 +452,15 @@ Result<TraceEntry> materialize(const TraceRec& rec, const RawSegment& seg) {
   if (r.failed()) {
     return fail(ErrorCode::kDecodeTruncated, "malformed trace record");
   }
-  const auto from_it = seg.nodes.find(from);
-  const auto to_it = seg.nodes.find(to);
-  if (from_it == seg.nodes.end() || to_it == seg.nodes.end()) {
+  const auto from_it = nodes.find(from);
+  const auto to_it = nodes.find(to);
+  if (from_it == nodes.end() || to_it == nodes.end()) {
     return fail(ErrorCode::kDecodeBadValue,
                 "trace record references a node id missing from the node "
                 "table");
   }
-  std::vector<std::uint8_t> wire;
-  wire.reserve(r.remaining());
-  while (r.remaining() > 0) wire.push_back(r.u8());
-  auto decoded = MessageRegistry::instance().decode(wire);
+  auto decoded = MessageRegistry::instance().decode(
+      rec.payload.subspan(rec.payload.size() - r.remaining()));
   if (!decoded.ok()) {
     return Error{decoded.error().code,
                  record_context(rec.index, 0x10, rec.offset,
@@ -538,14 +468,9 @@ Result<TraceEntry> materialize(const TraceRec& rec, const RawSegment& seg) {
                                  decoded.error().to_string())
                                     .c_str())};
   }
-  const Message& msg = *decoded.value();
-  TraceEntry e;
-  e.at = rec.key.at;
-  e.from = from_it->second;
-  e.to = to_it->second;
-  e.message = std::string(msg.name());
-  e.summary = msg.summary();
-  return e;
+  const MessagePtr& msg = run.messages.emplace_back(std::move(decoded).value());
+  return TraceEntry{rec.key.at, from_it->second, to_it->second, msg->name(),
+                    msg.get()};
 }
 
 Result<DecodedCapture> assemble(std::vector<RawSegment>& segments,
@@ -566,9 +491,13 @@ Result<DecodedCapture> assemble(std::vector<RawSegment>& segments,
     // observability buffers in (see dispatch_key.hpp).
     std::sort(seg.trace.begin(), seg.trace.end(),
               [](const TraceRec& a, const TraceRec& b) { return a.key < b.key; });
+    std::map<std::uint32_t, std::string_view> nodes;
+    for (auto& [id, name] : seg.nodes) {
+      nodes.emplace(id, run.names->emplace_back(std::move(name)));
+    }
     run.trace.reserve(run.trace.size() + seg.trace.size());
     for (const TraceRec& rec : seg.trace) {
-      Result<TraceEntry> entry = materialize(rec, seg);
+      Result<TraceEntry> entry = materialize(rec, nodes, run);
       if (!entry.ok()) return entry.error();
       run.trace.push_back(std::move(entry).value());
     }

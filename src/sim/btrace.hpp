@@ -1,12 +1,10 @@
 // vgprs.btrace.v1: packed binary observability capture.
 //
-// Full-fidelity tracing through TraceRecorder builds four heap strings per
-// delivery, which is exactly what large sharded capacity runs must turn off.
-// This module is the compact alternative: every hot-path observability
-// record is serialized into a per-shard ring buffer as a packed binary
-// record — integer stores plus the message's (allocation-free) wire
-// encoding, no name strings and no summary formatting — and an offline
-// decoder reconstructs the exact live-export artifacts later.
+// The capture serializes the one record stream the TraceRecorder keeps
+// (sim/trace.hpp): each delivery as a packed record of integers plus the
+// message's wire image, encoded when the segment is written, with no name
+// strings and no summary formatting.  An offline decoder reconstructs the
+// exact live-export artifacts later.
 //
 // File layout (all integers big-endian, matching ByteWriter):
 //
@@ -21,22 +19,27 @@
 //     kRunBegin                     system str, num_shards u32
 //     kNodeTable                    node-name intern table (id -> name)
 //     kMsgTable                     wire-type -> message-name table
-//     per shard, in index order:
+//     per shard section:
 //       kShardBegin                 shard u32, dropped records/bytes u64
-//       kTrace / kFault records     this shard's stream, dispatch order
+//       kTrace / kFault records     the section's stream, dispatch order
 //     kSpanOpen/kSpanClose/kSpanAttr  global-order span operation log
 //     kMetricCounter/Gauge/Hist    final metric deltas for the segment
 //     kRunEnd                       primary u8 (always 1), events u64,
 //                                   sim_time_us i64
 //
+// The writer puts the whole trace, already merged, in the first of the
+// segment's shard sections and leaves the others empty.  Older writers
+// spread it over the sections by dispatching shard; the decoder merges a
+// segment's sections by DispatchKey either way.
+//
 // kTrace records carry the DispatchKey (at, sent_at, seq, sub) of the
 // dispatch that produced them plus NodeId endpoints and the message's wire
-// image; the decoder merges all shard streams of a segment by DispatchKey —
-// the same strict total order the sharded engine's merge uses — then
-// re-decodes the wire bytes through the MessageRegistry, so message names
-// and parameter summaries are regenerated byte-identically without ever
-// having been formatted during the run.  Node names are interned once per
-// segment in kNodeTable; procedure (span) names are the SpanKind enum.
+// image; the decoder sorts a segment's records by DispatchKey — the same
+// strict total order the sharded engine's merge uses — then re-decodes the
+// wire bytes through the MessageRegistry, so message names and parameter
+// summaries are regenerated byte-identically without ever having been
+// formatted during the run.  Node names are interned once per segment in
+// kNodeTable; procedure (span) names are the SpanKind enum.
 //
 // Versioning: the per-record (magic, version) pair gates decode — an
 // unknown version or record kind is a clean diagnostic, never a crash; all
@@ -49,6 +52,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <span>
 #include <string>
@@ -58,14 +62,13 @@
 #include "common/bytes.hpp"
 #include "common/result.hpp"
 #include "sim/dispatch_key.hpp"
+#include "sim/message.hpp"
 #include "sim/metrics.hpp"
 #include "sim/span.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
 
 namespace vgprs {
-
-class Message;
 
 inline constexpr std::uint8_t kBtraceMagic = 0xB7;
 inline constexpr std::uint8_t kBtraceVersion = 1;
@@ -95,62 +98,10 @@ enum class BtraceRecord : std::uint8_t {
 void append_btrace_record(std::vector<std::uint8_t>& dst, BtraceRecord kind,
                           std::span<const std::uint8_t> payload);
 
-/// Capture sizing.  ring_bytes_per_shard bounds each shard's buffered
-/// record bytes; when the bound is hit the oldest chunk of records is
-/// evicted (and counted), so capture can stay enabled across arbitrarily
-/// long soak runs with O(ring) memory.  0 keeps everything.
-struct CaptureConfig {
-  std::size_t ring_bytes_per_shard = 0;
-};
-
-/// Per-shard packed record buffer: a ring of fixed-size chunks.  Records
-/// never span chunks, so evicting whole chunks always drops whole records.
-/// The hot-path cost of trace() is the message's wire encoding into a
-/// reusable scratch writer plus bulk byte appends into the current chunk —
-/// no per-record allocation once chunks and scratch are warm.
-class BtraceShardBuffer {
- public:
-  /// Resets the buffer and applies the ring bound (0 = unbounded).
-  void configure(std::size_t ring_bytes);
-  void clear();
-
-  /// Packed delivery record: DispatchKey + NodeId endpoints + wire image.
-  void trace(const DispatchKey& key, std::uint32_t from, std::uint32_t to,
-             const Message& msg);
-  /// Fault annotation; strings are stored inline (faults are rare).
-  void fault(const DispatchKey& key, SimTime at, std::string_view from,
-             std::string_view to, std::string_view what,
-             std::string_view detail);
-
-  [[nodiscard]] std::uint64_t dropped_records() const {
-    return dropped_records_;
-  }
-  [[nodiscard]] std::uint64_t dropped_bytes() const { return dropped_bytes_; }
-  [[nodiscard]] std::size_t bytes() const { return bytes_; }
-  [[nodiscard]] bool empty() const { return bytes_ == 0; }
-
-  /// Appends every buffered record, oldest first, to `out`.
-  void drain_to(std::vector<std::uint8_t>& out) const;
-
- private:
-  struct Chunk {
-    std::vector<std::uint8_t> data;
-    std::uint64_t records = 0;
-  };
-
-  /// Frames scratch_ as one record of `kind` into the current chunk.
-  void commit(BtraceRecord kind);
-  Chunk& chunk_for(std::size_t record_bytes);
-
-  std::deque<Chunk> chunks_;  // front = oldest
-  std::vector<Chunk> free_;   // recycled chunks (capacity kept)
-  std::size_t ring_bytes_ = 0;
-  std::size_t chunk_bytes_ = 0;  // eviction granularity, set by configure()
-  std::size_t bytes_ = 0;
-  std::uint64_t dropped_records_ = 0;
-  std::uint64_t dropped_bytes_ = 0;
-  ByteWriter scratch_;
-};
+/// Appends one kTrace record per delivery of `trace`, and one kFault record
+/// per TraceNote, in trace order.  Wire images are encoded here.
+void append_btrace_trace(std::vector<std::uint8_t>& dst,
+                         const TraceRecorder& trace);
 
 /// SpanTracker observer serializing the global-order span operation log.
 /// Ops arrive in the same deterministic order on every worker count (direct
@@ -201,6 +152,11 @@ struct DecodedRun {
   MetricsSnapshot metrics;
   std::uint64_t events = 0;
   double sim_time_ms = 0.0;
+  // What `trace` views: node names and every decoded message or fault
+  // note, shared so that the views outlive any copy or move of the run.
+  std::shared_ptr<std::deque<std::string>> names =
+      std::make_shared<std::deque<std::string>>();
+  std::vector<MessagePtr> messages;
 };
 
 struct DecodedCapture {

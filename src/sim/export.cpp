@@ -55,16 +55,12 @@ void write_trace_line(std::ostream& out, const TraceEntry& e) {
   w.kv("from", e.from);
   w.kv("to", e.to);
   w.kv("message", e.message);
-  w.kv("summary", e.summary);
+  w.kv("summary", e.summary());
   w.end_object();
   out << "\n";
 }
 
 }  // namespace
-
-void write_trace_jsonl(std::ostream& out, const TraceRecorder& trace) {
-  trace.for_each([&](const TraceEntry& e) { write_trace_line(out, e); });
-}
 
 void write_trace_jsonl(std::ostream& out,
                        const std::vector<TraceEntry>& entries) {
@@ -160,7 +156,7 @@ std::string dump_forensics(const Network& net, std::size_t tail) {
   trace.for_each([&](const TraceEntry& e) {
     if (i++ < skip) return;
     out << "  " << e.at.to_string() << "  " << e.from << " -> " << e.to
-        << "  " << e.summary << "\n";
+        << "  " << e.summary() << "\n";
   });
   const SpanTracker& spans = net.spans();
   out << "--- open spans: " << spans.open_count() << " ---\n";

@@ -1,7 +1,7 @@
 // Structured export of observability data:
 //  * write_metrics_json   — a MetricsSnapshot as one JSON object;
-//  * write_trace_jsonl    — the TraceRecorder as JSON Lines, one delivery
-//                           per line (grep/jq-friendly, ring-safe);
+//  * write_trace_jsonl    — trace entries as JSON Lines, one delivery per
+//                           line (grep/jq-friendly);
 //  * write_spans_chrome_trace — spans in Chrome trace_event format
 //                           (chrome://tracing / Perfetto: one lane per
 //                           span kind, complete "X" events, args carry
@@ -28,10 +28,8 @@ class Network;
 
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot);
 
-void write_trace_jsonl(std::ostream& out, const TraceRecorder& trace);
-
-/// Same JSONL schema over a plain entry list (the offline btrace decoder
-/// produces one; see sim/btrace.hpp).
+/// One JSON object per entry: a live trace's entries(), or the entries a
+/// decoded capture holds (see sim/btrace.hpp).
 void write_trace_jsonl(std::ostream& out,
                        const std::vector<TraceEntry>& entries);
 

@@ -145,14 +145,16 @@ void FaultInjector::transition(std::uint64_t cookie) {
   switch (kind) {
     case kCookieCrash: {
       const NodeOutage& o = schedule_.node_outages[index];
-      record(now(), o.node, o.node, "fault.crash(" + o.node + ")",
+      record(now(), outage_nodes_[index], outage_nodes_[index],
+             "fault.crash(" + o.node + ")",
              "node outage begins; messages and timers suppressed");
       bump("fault/injected/crash", c.crashes);
       break;
     }
     case kCookieRestart: {
       const NodeOutage& o = schedule_.node_outages[index];
-      record(now(), o.node, o.node, "fault.restart(" + o.node + ")",
+      record(now(), outage_nodes_[index], outage_nodes_[index],
+             "fault.restart(" + o.node + ")",
              "node restarts; volatile state reset");
       bump("fault/injected/restart", c.restarts);
       if (Node* target = net().node(outage_nodes_[index])) {
@@ -162,13 +164,15 @@ void FaultInjector::transition(std::uint64_t cookie) {
     }
     case kCookieLinkDown: {
       const LinkWindow& w = schedule_.link_windows[index];
-      record(now(), w.a, w.b, "fault.link_down(" + w.a + "<->" + w.b + ")",
+      record(now(), window_nodes_[index].first, window_nodes_[index].second,
+             "fault.link_down(" + w.a + "<->" + w.b + ")",
              "link window opens; traversals dropped");
       break;
     }
     case kCookieLinkUp: {
       const LinkWindow& w = schedule_.link_windows[index];
-      record(now(), w.a, w.b, "fault.link_up(" + w.a + "<->" + w.b + ")",
+      record(now(), window_nodes_[index].first, window_nodes_[index].second,
+             "fault.link_up(" + w.a + "<->" + w.b + ")",
              "link window closes; traversals delivered again");
       break;
     }
@@ -194,7 +198,7 @@ FaultInjector::SendPlan FaultInjector::plan_send(SimTime at, const Node& src,
 
   // A crashed endpoint neither emits nor accepts traffic.
   if (node_down(src.id(), at) || node_down(dst.id(), at)) {
-    record(at, src.name(), dst.name(),
+    record(at, src.id(), dst.id(),
            "fault.outage_drop(" + std::string(msg.name()) + ")",
            "endpoint is mid-outage");
     bump("fault/injected/outage_drop", c.outage_drops);
@@ -206,7 +210,7 @@ FaultInjector::SendPlan FaultInjector::plan_send(SimTime at, const Node& src,
     if (!same_link(window_nodes_[i], src.id(), dst.id())) continue;
     const LinkWindow& w = schedule_.link_windows[i];
     if (!in_window(at, w.down_at, w.up_at)) continue;
-    record(at, src.name(), dst.name(),
+    record(at, src.id(), dst.id(),
            "fault.link_drop(" + std::string(msg.name()) + ")",
            "link " + w.a + "<->" + w.b + " is down");
     bump("fault/injected/link_drop", c.link_drops);
@@ -236,26 +240,26 @@ FaultInjector::SendPlan FaultInjector::plan_send(SimTime at, const Node& src,
         std::string(msg.name()) + ")";
     switch (f.kind) {
       case FaultKind::kDrop:
-        record(at, src.name(), dst.name(), what,
+        record(at, src.id(), dst.id(), what,
                "match #" + std::to_string(seen));
         bump("fault/injected/drop", c.drops);
         plan.drop = true;
         return plan;
       case FaultKind::kDuplicate:
-        record(at, src.name(), dst.name(), what,
+        record(at, src.id(), dst.id(), what,
                "match #" + std::to_string(seen) + "; delivered twice");
         bump("fault/injected/duplicate", c.duplicates);
         plan.duplicate = true;
         break;
       case FaultKind::kReorder:
-        record(at, src.name(), dst.name(), what,
+        record(at, src.id(), dst.id(), what,
                "match #" + std::to_string(seen) + "; held back " +
                    f.reorder_delay.to_string());
         bump("fault/injected/reorder", c.reorders);
         plan.extra_delay += f.reorder_delay;
         break;
       case FaultKind::kCorrupt:
-        record(at, src.name(), dst.name(), what,
+        record(at, src.id(), dst.id(), what,
                "match #" + std::to_string(seen) + "; wire byte flipped");
         bump("fault/injected/corrupt", c.corruptions);
         plan.corrupt = true;
@@ -271,7 +275,7 @@ bool FaultInjector::allow_delivery(SimTime at, const Node& src,
                                    std::uint32_t shard) {
   if (!node_down(dst.id(), at)) return true;
   // The message was in flight when the destination crashed.
-  record(at, src.name(), dst.name(),
+  record(at, src.id(), dst.id(),
          "fault.outage_drop(" + std::string(msg.name()) + ")",
          "destination crashed while message was in flight");
   bump("fault/injected/outage_drop", counters_[shard].outage_drops);
@@ -283,9 +287,8 @@ void FaultInjector::note_corrupt_undecodable(Error error, std::uint32_t shard) {
   bump("fault/injected/decode_error", counters_[shard].decode_errors);
 }
 
-void FaultInjector::record(SimTime at, const std::string& from,
-                           const std::string& to, std::string what,
-                           std::string detail) {
+void FaultInjector::record(SimTime at, NodeId from, NodeId to,
+                           std::string what, std::string detail) {
   net().record_fault(at, from, to, std::move(what), std::move(detail));
 }
 

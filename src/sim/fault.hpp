@@ -191,8 +191,8 @@ class FaultInjector final : public Node {
   /// discarded, as a real checksum failure would).
   void note_corrupt_undecodable(Error error, std::uint32_t shard);
 
-  void record(SimTime at, const std::string& from, const std::string& to,
-              std::string what, std::string detail);
+  void record(SimTime at, NodeId from, NodeId to, std::string what,
+              std::string detail);
   void bump(const char* counter_name, std::uint64_t& raw);
 
   FaultSchedule schedule_;

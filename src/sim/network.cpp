@@ -244,9 +244,6 @@ void Network::set_shards(const std::vector<std::vector<NodeId>>& groups) {
     auto sh = std::make_unique<Shard>(seed_ + 0x9E3779B97F4A7C15ULL *
                                                  static_cast<std::uint64_t>(g));
     sh->index = static_cast<std::uint32_t>(g);
-    if (capture_on_) {
-      sh->capture.configure(capture_cfg_.ring_bytes_per_shard);
-    }
     shards_.push_back(std::move(sh));
   }
   for (auto& sh : shards_) {
@@ -596,37 +593,30 @@ void Network::cancel_timer(TimerId id) {
 
 // --- execution --------------------------------------------------------------
 
-void Network::record_trace(Shard& sh, bool buffered, TraceEntry entry) {
+void Network::add_record(Shard& sh, bool buffered, NodeId from, NodeId to,
+                         MessagePtr msg) {
+  DispatchKey key = sh.cur_key;
+  key.sub = sh.cur_key.sub++;
+  TraceRecord r{key, from, to, std::move(msg)};
   if (buffered) {
-    DispatchKey key = sh.cur_key;
-    key.sub = sh.cur_key.sub++;
-    sh.trace_buf.push_back(BufferedTrace{key, std::move(entry)});
+    sh.trace_buf.push_back(std::move(r));
   } else {
-    trace_.record(std::move(entry));
+    trace_.record(std::move(r));
   }
 }
 
-void Network::record_fault(SimTime at, const std::string& from,
-                           const std::string& to, std::string what,
-                           std::string detail) {
-  if (capture_on_) {
-    Shard& sh = cur();
-    DispatchKey key = sh.cur_key;
-    key.sub = sh.cur_key.sub++;
-    sh.capture.fault(key, at, from, to, what, detail);
-  }
+void Network::record_fault(SimTime at, NodeId from, NodeId to,
+                           std::string what, std::string detail) {
   if (!trace_.enabled()) return;
-  record_trace(cur(), in_sharded_dispatch(),
-               TraceEntry{at, from, to, std::move(what), std::move(detail)});
+  add_record(cur(), in_sharded_dispatch(), from, to,
+             pool_message<TraceNote>(at, std::move(what), std::move(detail)));
 }
 
 void Network::dispatch(Event ev, Shard& sh, bool buffered) {
   sh.now = ev.at;
-  if (buffered || capture_on_) {
-    // The capture needs a fresh key per dispatch in the sequential engine
-    // too — kTrace/kFault records are ordered by it at decode time.
-    sh.cur_key = DispatchKey{ev.at, ev.sent_at, ev.seq, 0};
-  }
+  // Trace records and (during a sharded run) span operations are ordered
+  // by this key; see dispatch_key.hpp.
+  sh.cur_key = DispatchKey{ev.at, ev.sent_at, ev.seq, 0};
   if (ev.msg == nullptr) {  // timer or fault-transition event
     if (ev.timer_slot == kFaultSlot) [[unlikely]] {
       ++sh.stats.timers_fired;
@@ -657,13 +647,11 @@ void Network::dispatch(Event ev, Shard& sh, bool buffered) {
     return;
   }
   ++sh.stats.messages_delivered;
-  if (capture_on_) {
-    // Packed binary record: dispatch key + endpoint ids + wire image.  The
-    // encode reuses the buffer's scratch writer, so a delivery costs integer
-    // stores and bulk byte copies — no strings, no formatting.
-    DispatchKey key = sh.cur_key;
-    key.sub = sh.cur_key.sub++;
-    sh.capture.trace(key, ev.from.value(), ev.to.value(), *ev.msg);
+  if (trace_.enabled()) {
+    // The record is the key, the endpoint ids and a reference to the
+    // delivered message: no strings.  Names and the parameter summary are
+    // resolved only when the trace is read.
+    add_record(sh, buffered, ev.from, ev.to, ev.msg);
   }
   if (spans_.enabled()) {
     // Hop attribution: one predictable branch when spans are off; when on,
@@ -672,14 +660,6 @@ void Network::dispatch(Event ev, Shard& sh, bool buffered) {
     if (const std::uint64_t corr = ev.msg->correlation(); corr != 0) {
       spans_.attribute_delivery(corr);
     }
-  }
-  if (trace_.enabled()) {
-    // The entry (and the message's parameter summary) is only built when a
-    // trace consumer exists; with tracing disabled a delivery costs no
-    // string work at all.
-    record_trace(sh, buffered,
-                 TraceEntry{ev.at, src->name(), dst->name(),
-                            std::string(ev.msg->name()), ev.msg->summary()});
   }
   VG_DEBUG("net", src->name() << " -> " << dst->name() << " "
                               << ev.msg->summary());
@@ -736,26 +716,13 @@ void Network::commit_outboxes(Shard& sh) {
 }
 
 void Network::merge_shard_buffers() {
-  std::size_t total = 0;
-  for (auto& sh : shards_) total += sh->trace_buf.size();
-  if (total != 0) {
-    std::vector<BufferedTrace> all;
-    all.reserve(total);
-    for (auto& sh : shards_) {
-      for (BufferedTrace& bt : sh->trace_buf) all.push_back(std::move(bt));
-      sh->trace_buf.clear();
-    }
-    // DispatchKeys are unique (seq identifies the dispatch, sub the record
-    // within it), so this sort is a strict total order — the exact order
-    // the sequential engine would have recorded in.
-    std::sort(all.begin(), all.end(),
-              [](const BufferedTrace& a, const BufferedTrace& b) {
-                return a.key < b.key;
-              });
-    for (BufferedTrace& bt : all) trace_.record(std::move(bt.entry));
-  }
+  // Each shard's records are in its own dispatch order; the key sort
+  // interleaves them into the order the sequential engine records in.
+  const std::size_t first = trace_.size();
+  for (auto& sh : shards_) trace_.append(sh->trace_buf);
+  trace_.sort_from(first);
 
-  total = 0;
+  std::size_t total = 0;
   for (auto& sh : shards_) total += sh->span_ops.size();
   if (total != 0) {
     std::vector<SpanTracker::Op> ops;
@@ -1025,25 +992,21 @@ FaultInjector& Network::install_faults(FaultSchedule schedule) {
 
 // --- observability ----------------------------------------------------------
 
-void Network::enable_capture(const CaptureConfig& cfg) {
-  capture_cfg_ = cfg;
-  capture_on_ = true;
-  for (auto& sh : shards_) sh->capture.configure(cfg.ring_bytes_per_shard);
+void Network::enable_capture() {
+  if (!trace_.enabled()) trace_.set_mode(TraceMode::kFull);
   capture_spans_.clear();
   spans_.set_observer(&capture_spans_);
 }
 
 void Network::disable_capture() {
-  capture_on_ = false;
-  if (spans_.observer() == &capture_spans_) spans_.set_observer(nullptr);
-  for (auto& sh : shards_) sh->capture.clear();
+  if (capture_enabled()) spans_.set_observer(nullptr);
   capture_spans_.clear();
 }
 
 void Network::write_capture_segment(std::ostream& out, std::string_view system,
                                     std::uint64_t events,
                                     const MetricsSnapshot& snapshot) {
-  if (!capture_on_) {
+  if (!capture_enabled()) {
     throw std::logic_error("write_capture_segment: capture is not enabled");
   }
 
@@ -1076,12 +1039,15 @@ void Network::write_capture_segment(std::ostream& out, std::string_view system,
   }
   record(BtraceRecord::kMsgTable);
 
+  // One section per engine shard, as v1 lays a segment out.  The trace is
+  // already merged, so the first section holds all of it; nothing is ever
+  // dropped.
   for (const auto& sh : shards_) {
     p.u32(sh->index);
-    p.u64(sh->capture.dropped_records());
-    p.u64(sh->capture.dropped_bytes());
+    p.u64(0);
+    p.u64(0);
     record(BtraceRecord::kShardBegin);
-    sh->capture.drain_to(blob);
+    if (sh->index == 0) append_btrace_trace(blob, trace_);
   }
 
   const std::vector<std::uint8_t>& spans = capture_spans_.bytes();
@@ -1115,8 +1081,7 @@ void Network::write_capture_segment(std::ostream& out, std::string_view system,
   out.write(reinterpret_cast<const char*>(blob.data()),
             static_cast<std::streamsize>(blob.size()));
 
-  // The segment is on disk; start the next one clean.
-  for (auto& sh : shards_) sh->capture.clear();
+  // The segment is on disk; the next one logs its own span operations.
   capture_spans_.clear();
 }
 

@@ -282,29 +282,29 @@ class Network {
 
   // --- binary capture (vgprs.btrace.v1; see sim/btrace.hpp) ---------------
 
-  /// Turns on packed binary capture: every delivery is appended to the
-  /// dispatching shard's ring buffer as a kTrace record (DispatchKey +
-  /// endpoints + wire image — no strings, no summary formatting), span
-  /// operations are logged in global order, and fault annotations become
-  /// kFault records.  Independent of TraceRecorder/SpanTracker enablement;
-  /// intended to stay on where full tracing is too expensive.
-  void enable_capture(const CaptureConfig& cfg = {});
+  /// Turns on capture: the trace records (kFull, if it was off) plus a log
+  /// of span operations in global order.  The trace's records are what a
+  /// segment serializes; the span log is the capture's own.
+  void enable_capture();
   void disable_capture();
-  [[nodiscard]] bool capture_enabled() const { return capture_on_; }
+  [[nodiscard]] bool capture_enabled() const {
+    return spans_.observer() == &capture_spans_;
+  }
 
-  /// Serializes everything captured since enable_capture() (or the last
-  /// segment write) as one run segment — node/message tables, per-shard
-  /// record streams, the span op log, final metric deltas from `snapshot`,
-  /// and a run summary — then clears the capture buffers.  Write the
-  /// one-per-file header first (write_btrace_file_info).
+  /// Serializes one run segment: node/message tables, the trace's records
+  /// as they stand (each message's wire image is encoded here), the span
+  /// operations logged since enable_capture() or the last segment, final
+  /// metric deltas from `snapshot`, and a run summary.  Then clears the
+  /// span log; clear the trace between segments written from one network.
+  /// Write the one-per-file header first (write_btrace_file_info).
   void write_capture_segment(std::ostream& out, std::string_view system,
                              std::uint64_t events,
                              const MetricsSnapshot& snapshot);
 
-  /// FaultInjector bookkeeping hook: records a fault annotation into the
-  /// trace (buffered per shard during a sharded run).
-  void record_fault(SimTime at, const std::string& from,
-                    const std::string& to, std::string what,
+  /// FaultInjector bookkeeping hook: appends a fault annotation (a
+  /// TraceNote) to the trace stream (buffered per shard during a sharded
+  /// run).
+  void record_fault(SimTime at, NodeId from, NodeId to, std::string what,
                     std::string detail);
   /// Index of the shard whose dispatch is executing on this thread
   /// (0 outside a sharded run) — per-shard fault counters key off this.
@@ -516,11 +516,6 @@ class Network {
     std::uint32_t link = 0;  // index into link_profiles_
   };
 
-  struct BufferedTrace {
-    DispatchKey key;
-    TraceEntry entry;
-  };
-
   /// Everything one worker thread touches while executing its shard: event
   /// heap, timer table, sequence counter, clock, RNG, wire scratch, raw
   /// stats, a private metrics registry, trace/span buffers keyed for the
@@ -540,14 +535,13 @@ class Network {
     std::uint64_t next_seq = 1;
     std::uint32_t index = 0;
     SimTime now;
-    DispatchKey cur_key;   // key of the event being dispatched (buffered)
+    DispatchKey cur_key;   // key of the event being dispatched
     ByteWriter scratch;    // reusable wire buffer for serialize_links_
     Rng rng;
     alignas(64) NetworkStats stats;  // raw hot-path increments, own line
     MetricsRegistry metrics;
-    std::vector<BufferedTrace> trace_buf;
+    std::vector<TraceRecord> trace_buf;
     std::vector<SpanTracker::Op> span_ops;
-    BtraceShardBuffer capture;  // packed binary record ring (btrace.hpp)
     std::unique_ptr<OutboxRing[]> outbox;  // index = destination shard
     std::vector<std::uint32_t> outbox_touched;  // dests staged this window
     ShardPerfStats perf;
@@ -593,7 +587,11 @@ class Network {
   /// the origin's outbox (mid-window cross-shard send), or the destination
   /// heap directly (single-threaded stimulus between runs).
   void route_event(Shard& origin, bool buffered, Event ev);
-  void record_trace(Shard& sh, bool buffered, TraceEntry entry);
+  /// Records `msg` from `from` to `to` under the next DispatchKey of the
+  /// current dispatch: straight into the trace, or into the dispatching
+  /// shard's buffer during a sharded run.
+  void add_record(Shard& sh, bool buffered, NodeId from, NodeId to,
+                  MessagePtr msg);
   /// Recomputes shard_la_us_ with one pass over the links: per shard, the
   /// minimum latency over its cross-shard links (a huge sentinel when it
   /// has none — an island shard never constrains the window).  Throws if
@@ -641,11 +639,9 @@ class Network {
 
   bool serialize_links_ = true;
   FaultInjector* fault_ = nullptr;  // owned via nodes_; null = no faults
-  TraceRecorder trace_;
+  TraceRecorder trace_{nodes_};
   SpanTracker spans_;
   MetricsRegistry metrics_;
-  bool capture_on_ = false;
-  CaptureConfig capture_cfg_;
   SpanCaptureLog capture_spans_;
 };
 

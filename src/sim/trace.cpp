@@ -1,38 +1,44 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 
 namespace vgprs {
 
-void TraceRecorder::set_mode(TraceMode mode, std::size_t ring_capacity) {
+void TraceRecorder::set_mode(TraceMode mode) {
   mode_ = mode;
-  // A zero ring capacity would alias the "unbounded" sentinel below and
-  // make record() grow the buffer without bound; clamp to the smallest
-  // ring instead.
-  if (mode == TraceMode::kRing && ring_capacity == 0) ring_capacity = 1;
-  ring_capacity_ = mode == TraceMode::kRing ? ring_capacity : 0;
-  entries_.clear();
-  entries_.shrink_to_fit();
-  head_ = 0;
+  records_.clear();
+  records_.shrink_to_fit();
 }
 
-void TraceRecorder::record(TraceEntry entry) {
-  switch (mode_) {
-    case TraceMode::kDisabled:
-      return;
-    case TraceMode::kFull:
-      entries_.push_back(std::move(entry));
-      return;
-    case TraceMode::kRing:
-      if (entries_.size() < ring_capacity_) {
-        entries_.push_back(std::move(entry));
-      } else if (ring_capacity_ > 0) {
-        entries_[head_] = std::move(entry);
-        head_ = (head_ + 1) % ring_capacity_;
-      }
-      return;
-  }
+void TraceRecorder::append(std::vector<TraceRecord>& buf) {
+  records_.insert(records_.end(), std::make_move_iterator(buf.begin()),
+                  std::make_move_iterator(buf.end()));
+  buf.clear();
+}
+
+void TraceRecorder::sort_from(std::size_t first) {
+  std::sort(records_.begin() + static_cast<std::ptrdiff_t>(first),
+            records_.end(), [](const TraceRecord& a, const TraceRecord& b) {
+              return a.key < b.key;
+            });
+}
+
+TraceEntry TraceRecorder::entry(const TraceRecord& r) const {
+  const auto* note = msg_cast<TraceNote>(r.msg.get());
+  return TraceEntry{note != nullptr ? note->at : r.key.at,
+                    (*nodes_)[r.from.value() - 1]->name(),
+                    (*nodes_)[r.to.value() - 1]->name(), r.msg->name(),
+                    r.msg.get()};
+}
+
+std::vector<TraceEntry> TraceRecorder::entries() const {
+  std::vector<TraceEntry> out;
+  out.reserve(records_.size());
+  for_each([&](const TraceEntry& e) { out.push_back(e); });
+  return out;
 }
 
 bool TraceRecorder::matches(const TraceEntry& e, const FlowStep& s) {
@@ -44,9 +50,9 @@ bool TraceRecorder::matches(const TraceEntry& e, const FlowStep& s) {
 
 std::size_t TraceRecorder::count(std::string_view message) const {
   std::size_t n = 0;
-  for_each([&](const TraceEntry& e) {
-    if (e.message == message) ++n;
-  });
+  for (const TraceRecord& r : records_) {
+    if (r.msg->name() == message) ++n;
+  }
   return n;
 }
 
@@ -88,18 +94,19 @@ std::optional<SimTime> TraceRecorder::last_time(
 
 std::string TraceRecorder::to_string(std::size_t max_entries) const {
   std::ostringstream os;
-  std::size_t n = std::min(entries_.size(), max_entries);
-  std::size_t printed = 0;
-  for_each([&](const TraceEntry& e) {
-    if (printed++ >= n) return;
+  const std::size_t n = std::min(records_.size(), max_entries);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceEntry e = entry(records_[i]);
+    const std::string summary = e.summary();
     char line[256];
-    std::snprintf(line, sizeof line, "%10.3f ms  %-14s -> %-14s  %s",
-                  e.at.as_millis(), e.from.c_str(), e.to.c_str(),
-                  e.summary.c_str());
+    std::snprintf(line, sizeof line, "%10.3f ms  %-14.*s -> %-14.*s  %s",
+                  e.at.as_millis(), static_cast<int>(e.from.size()),
+                  e.from.data(), static_cast<int>(e.to.size()), e.to.data(),
+                  summary.c_str());
     os << line << '\n';
-  });
-  if (n < entries_.size()) {
-    os << "  ... (" << (entries_.size() - n) << " more)\n";
+  }
+  if (n < records_.size()) {
+    os << "  ... (" << (records_.size() - n) << " more)\n";
   }
   return os.str();
 }

@@ -1,33 +1,79 @@
-// TraceRecorder captures every message delivery so tests can assert that a
-// procedure's message flow matches the paper's figures step by step, and so
-// benches can print the flows the way the paper draws them.
+// TraceRecorder: the one record stream of message deliveries.  Tests assert
+// that a procedure's message flow matches the paper's figures step by step,
+// benches print the flows the way the paper draws them, and the exports
+// and the btrace capture (sim/btrace.hpp) serialize the same records.
 //
-// Recording is pay-for-use: the Network only builds a TraceEntry (four
-// strings, including the message's parameter summary) when a consumer is
-// actually attached.  Three modes:
+// Recording a delivery costs one small TraceRecord: the DispatchKey, the
+// two NodeIds and a reference to the delivered message, which stays alive
+// until clear().  No string is built at dispatch; a query resolves the
+// node and message names as string_views and formats the parameter
+// summary only when TraceEntry::summary() is called.  Two modes:
 //   kFull     — every delivery kept, in order (default; what flow tests use)
-//   kRing     — only the last N deliveries kept (long soak runs: bounded
-//               memory, still a useful post-mortem window)
-//   kDisabled — record() is a no-op and enabled() is false, so the hot path
-//               skips the entry construction entirely
+//   kDisabled — enabled() is false, so the hot path records nothing
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "sim/dispatch_key.hpp"
+#include "sim/message.hpp"
+#include "sim/node.hpp"
 #include "sim/time.hpp"
 
 namespace vgprs {
 
+/// A fault annotation in the record stream: a non-wire message whose
+/// name() is the fault ("fault.drop(GPRS_Attach_Request)") and whose
+/// summary() is its detail.  It carries its own time, because a fault
+/// found while sending is stamped with the send time, not the key's.
+class TraceNote final : public Message {
+ public:
+  static constexpr std::uint16_t kWireType = 0;  // never registered
+
+  TraceNote(SimTime when, std::string fault, std::string text)
+      : at(when), what(std::move(fault)), detail(std::move(text)) {}
+
+  [[nodiscard]] std::uint16_t wire_type() const override { return kWireType; }
+  [[nodiscard]] std::string_view name() const override { return what; }
+  [[nodiscard]] std::unique_ptr<Message> clone() const override {
+    return std::make_unique<TraceNote>(*this);
+  }
+  [[nodiscard]] std::string summary() const override { return detail; }
+  // Never sent: the btrace writer stores a note as a kFault record.
+  void encode_payload(ByteWriter&) const override {}
+  Status decode_payload(ByteReader&) override {
+    return Error{ErrorCode::kDecodeBadValue, "TraceNote has no wire form"};
+  }
+
+  SimTime at;
+  std::string what;
+  std::string detail;
+};
+
+/// The recorded form of one delivery or fault annotation.
+struct TraceRecord {
+  DispatchKey key;
+  NodeId from;
+  NodeId to;
+  MessagePtr msg;
+};
+
+/// A delivery as the queries and exports read it.  The views stay valid
+/// while their owners live: the Network and its trace until clear(), or
+/// a DecodedRun.
 struct TraceEntry {
   SimTime at;
-  std::string from;
-  std::string to;
-  std::string message;   // message name
-  std::string summary;   // parameter dump
+  std::string_view from;
+  std::string_view to;
+  std::string_view message;      // message name
+  const Message* msg = nullptr;  // the delivered message (or TraceNote)
+
+  /// Parameter dump, formatted on each call.
+  [[nodiscard]] std::string summary() const { return msg->summary(); }
 };
 
 /// One expected hop of a message flow: `from --message--> to`.
@@ -38,39 +84,42 @@ struct FlowStep {
   std::string to;
 };
 
-enum class TraceMode : std::uint8_t { kFull, kRing, kDisabled };
+enum class TraceMode : std::uint8_t { kFull, kDisabled };
 
 class TraceRecorder {
  public:
-  /// Switches recording mode; drops anything already recorded.  A kRing
-  /// capacity of 0 is clamped to 1 (0 is the internal "unbounded"
-  /// sentinel and would otherwise disable the ring bound entirely).
-  void set_mode(TraceMode mode, std::size_t ring_capacity = 256);
+  /// `nodes` (index = NodeId - 1) names the records' endpoints.
+  explicit TraceRecorder(const std::vector<Node*>& nodes) : nodes_(&nodes) {}
+
+  /// Switches recording mode; drops anything already recorded.
+  void set_mode(TraceMode mode);
   [[nodiscard]] TraceMode mode() const { return mode_; }
-  /// True when record() keeps entries — callers building an entry eagerly
-  /// (name/summary strings) must check this first.
+  /// True when the Network records deliveries.
   [[nodiscard]] bool enabled() const { return mode_ != TraceMode::kDisabled; }
 
-  void record(TraceEntry entry);
-  void clear() {
-    entries_.clear();
-    head_ = 0;
-  }
+  /// Appends `r`; the Network records only while enabled().
+  void record(TraceRecord r) { records_.push_back(std::move(r)); }
+  /// Moves `buf`'s records to the end of the trace and empties it.
+  void append(std::vector<TraceRecord>& buf);
+  /// Sorts the records from index `first` on by DispatchKey.  Keys are
+  /// unique, so this restores the one order the sequential engine records
+  /// in (the sharded engine's merge of its per-shard buffers).
+  void sort_from(std::size_t first);
+  /// Drops every record and releases the messages they hold.
+  void clear() { records_.clear(); }
 
-  /// Backing store.  In kFull mode this is the whole trace in delivery
-  /// order; in kRing mode use for_each()/to_string(), which linearize.
-  [[nodiscard]] const std::vector<TraceEntry>& entries() const {
-    return entries_;
+  [[nodiscard]] const std::vector<TraceRecord>& records() const {
+    return records_;
   }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return records_.size(); }
+  [[nodiscard]] TraceEntry entry(const TraceRecord& r) const;
+  /// Every entry, in delivery order.
+  [[nodiscard]] std::vector<TraceEntry> entries() const;
 
-  /// Visits entries oldest-first in any mode.
+  /// Visits entries in delivery order.
   template <typename F>
   void for_each(F&& f) const {
-    const std::size_t n = entries_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      f(entries_[(head_ + i) % n]);
-    }
+    for (const TraceRecord& r : records_) f(entry(r));
   }
 
   /// Number of deliveries of the named message (any endpoints).
@@ -97,9 +146,8 @@ class TraceRecorder {
 
  private:
   static bool matches(const TraceEntry& e, const FlowStep& s);
-  std::vector<TraceEntry> entries_;
-  std::size_t head_ = 0;           // oldest entry (ring mode)
-  std::size_t ring_capacity_ = 0;  // 0 = unbounded (full mode)
+  const std::vector<Node*>* nodes_;
+  std::vector<TraceRecord> records_;
   TraceMode mode_ = TraceMode::kFull;
 };
 

@@ -11,6 +11,9 @@
 //  * on the real vGPRS sharded call mix, the message-pool statistics
 //    (chunks, reserved bytes, oversize fallbacks) must be flat across
 //    call waves once the first wave has warmed the pool;
+//  * on a warmed vGPRS MS->MS call cycle, recording the trace must cost
+//    no heap allocation per delivery: a record is a key, two node ids and
+//    a reference to the delivered message;
 //  * a producer/consumer pair of threads drives the pool's cross-thread
 //    return path directly: no block may be handed out twice, and the chunk
 //    count must be flat once warm.
@@ -126,6 +129,48 @@ TEST(AllocRegression, CallMixPoolStatsAreFlatAcrossWaves) {
   EXPECT_GT(after.pooled_allocs, warm.pooled_allocs);
 }
 
+/// Heap allocations per MS->MS call cycle on a warmed 2-MS vGPRS network
+/// with the trace in `mode`.  Each cycle clears the trace afterwards, as
+/// a long-running caller does.
+double allocs_per_call(TraceMode mode) {
+  VgprsParams params;
+  params.num_ms = 2;
+  auto s = build_vgprs(params);
+  s->net.trace().set_mode(mode);
+  for (auto* ms : s->ms) ms->power_on();
+  s->settle();
+  int connected = 0;
+  s->ms[0]->on_connected = [&](CallRef) { ++connected; };
+  auto cycle = [&] {
+    s->ms[0]->dial(s->ms[1]->config().msisdn);
+    s->settle();
+    s->ms[0]->hangup();
+    s->settle();
+    s->net.trace().clear();
+  };
+  constexpr int kWarm = 5;
+  constexpr int kCalls = 20;
+  for (int i = 0; i < kWarm; ++i) cycle();
+  test::start_counting_allocs();
+  for (int i = 0; i < kCalls; ++i) cycle();
+  const std::uint64_t allocs = test::stop_counting_allocs();
+  EXPECT_EQ(connected, kWarm + kCalls) << "a call cycle did not connect";
+  return static_cast<double>(allocs) / kCalls;
+}
+
+TEST(AllocRegression, TracedCallCycleAllocatesLikeUntraced) {
+  if (!message_pool_enabled()) {
+    GTEST_SKIP() << "message pool in sanitizer passthrough mode";
+  }
+  const double untraced = allocs_per_call(TraceMode::kDisabled);
+  const double traced = allocs_per_call(TraceMode::kFull);
+  // A call cycle is ~180 deliveries, so anything recorded per delivery
+  // blows well past the slack.
+  EXPECT_LE(traced, untraced + 4.0)
+      << traced << " heap allocations per traced call vs " << untraced
+      << " untraced";
+}
+
 TEST(AllocRegression, CrossThreadFreesReturnToTheCarvingPool) {
   if (!message_pool_enabled()) {
     GTEST_SKIP() << "message pool in sanitizer passthrough mode";
@@ -140,7 +185,7 @@ TEST(AllocRegression, CrossThreadFreesReturnToTheCarvingPool) {
   constexpr std::size_t kSizes[] = {24, 40, 64, 96, 120, 176, 256, 320, 504};
   constexpr std::uint64_t kBlocks = 200'000;
   constexpr std::uint64_t kWarm = kBlocks / 4;
-  constexpr std::size_t kRing = 64;
+  constexpr std::size_t kSlots = 64;
   constexpr std::size_t kHeld = 8;
 
   struct Block {
@@ -158,7 +203,7 @@ TEST(AllocRegression, CrossThreadFreesReturnToTheCarvingPool) {
     return true;
   };
 
-  std::array<Block, kRing> ring;
+  std::array<Block, kSlots> ring;
   std::atomic<std::uint64_t> pushed{0};
   std::atomic<std::uint64_t> popped{0};
   std::atomic<std::uint64_t> overwritten{0};
@@ -177,7 +222,7 @@ TEST(AllocRegression, CrossThreadFreesReturnToTheCarvingPool) {
       while (pushed.load(std::memory_order_acquire) == next) {
         std::this_thread::yield();
       }
-      const Block b = ring[next % kRing];
+      const Block b = ring[next % kSlots];
       popped.store(next + 1, std::memory_order_release);
       if (b.words == nullptr) break;  // end of stream
       if (!intact(b)) overwritten.fetch_add(1, std::memory_order_relaxed);
@@ -192,10 +237,10 @@ TEST(AllocRegression, CrossThreadFreesReturnToTheCarvingPool) {
 
   std::uint64_t handed = 0;
   auto hand_over = [&](const Block& b) {
-    while (handed - popped.load(std::memory_order_acquire) == kRing) {
+    while (handed - popped.load(std::memory_order_acquire) == kSlots) {
       std::this_thread::yield();
     }
-    ring[handed % kRing] = b;
+    ring[handed % kSlots] = b;
     pushed.store(++handed, std::memory_order_release);
   };
   for (std::uint64_t i = 0; i < kBlocks; ++i) {

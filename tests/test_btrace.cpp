@@ -1,10 +1,13 @@
 // vgprs.btrace.v1 packed binary capture: live-vs-decoded equality (the
 // decoder must reconstruct the exact trace / span / metric artifacts a live
-// run exports), ring eviction accounting, fault records, and robustness of
-// the decoder against truncated or corrupted input (clean diagnostics, never
-// a crash).
+// run exports), fault records, captures written by the previous writer
+// (one shard section per engine shard), and robustness of the decoder
+// against truncated or corrupted input (clean diagnostics, never a crash).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -13,6 +16,7 @@
 #include "sim/btrace.hpp"
 #include "sim/export.hpp"
 #include "sim/fault.hpp"
+#include "tr23821/tr_scenario.hpp"
 #include "vgprs/scenario.hpp"
 
 namespace vgprs {
@@ -34,7 +38,7 @@ void expect_traces_equal(const std::vector<TraceEntry>& a,
     EXPECT_EQ(a[i].from, b[i].from) << "entry " << i;
     EXPECT_EQ(a[i].to, b[i].to) << "entry " << i;
     EXPECT_EQ(a[i].message, b[i].message) << "entry " << i;
-    EXPECT_EQ(a[i].summary, b[i].summary) << "entry " << i;
+    EXPECT_EQ(a[i].summary(), b[i].summary()) << "entry " << i;
   }
 }
 
@@ -53,6 +57,7 @@ void expect_spans_equal(const std::vector<Span>& a, const std::vector<Span>& b) 
 
 struct CaptureRun {
   std::string bytes;  // the capture file image
+  std::unique_ptr<VgprsScenario> scenario;  // what live_trace views
   std::vector<TraceEntry> live_trace;
   std::vector<Span> live_spans;
   MetricsSnapshot snapshot;
@@ -63,14 +68,13 @@ struct CaptureRun {
 /// Registration + `calls` call cycles with capture enabled, everything a
 /// live run would export collected alongside the capture image.
 CaptureRun run_capture_scenario(bool sharded, unsigned workers,
-                                std::size_t ring_bytes = 0,
                                 std::uint32_t calls = 3) {
   VgprsParams params;
   params.sharded = sharded;
   params.workers = workers;
   auto s = build_vgprs(params);
   s->net.spans().set_enabled(true);
-  s->net.enable_capture(CaptureConfig{ring_bytes});
+  s->net.enable_capture();
   std::ostringstream os;
   write_btrace_file_info(os, "test", params.seed, calls);
   s->ms[0]->power_on();
@@ -88,10 +92,10 @@ CaptureRun run_capture_scenario(bool sharded, unsigned workers,
   out.sim_time_us = s->net.now().count_micros();
   s->net.write_capture_segment(os, "vgprs", events, out.snapshot);
   out.bytes = os.str();
-  s->net.trace().for_each(
-      [&](const TraceEntry& e) { out.live_trace.push_back(e); });
+  out.live_trace = s->net.trace().entries();
   out.live_spans = s->net.spans().spans();
   out.events = events;
+  out.scenario = std::move(s);
   return out;
 }
 
@@ -142,33 +146,12 @@ TEST(BtraceRoundTrip, ShardedCaptureMatchesSequentialDecode) {
   EXPECT_GT(b.value().runs.front().shards.size(), 1u);
 }
 
-TEST(BtraceRoundTrip, RingEvictionKeepsNewestRecordsAndCountsDrops) {
-  register_all_messages();
-  CaptureRun full = run_capture_scenario(false, 1);
-  // A ring far smaller than the full capture: old chunks must be evicted.
-  CaptureRun ring = run_capture_scenario(false, 1, 4 * 1024);
-  Result<DecodedCapture> decoded = decode_str(ring.bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
-  const DecodedRun& r = decoded.value().runs.front();
-  ASSERT_EQ(r.shards.size(), 1u);
-  EXPECT_GT(r.shards.front().dropped_records, 0u);
-  EXPECT_GT(r.shards.front().dropped_bytes, 0u);
-  ASSERT_FALSE(r.trace.empty());
-  ASSERT_LT(r.trace.size(), full.live_trace.size());
-  // What survives is exactly the newest suffix of the full trace.
-  const std::size_t skip = full.live_trace.size() - r.trace.size();
-  std::vector<TraceEntry> tail(full.live_trace.begin() +
-                                   static_cast<std::ptrdiff_t>(skip),
-                               full.live_trace.end());
-  expect_traces_equal(r.trace, tail);
-}
-
 TEST(BtraceRoundTrip, FaultAnnotationsRoundTrip) {
   register_all_messages();
   VgprsParams params;
   auto s = build_vgprs(params);
   s->net.spans().set_enabled(true);
-  s->net.enable_capture({});
+  s->net.enable_capture();
   FaultSchedule sched;
   sched.message_faults.push_back(
       {MessagePredicate{"GPRS_Attach_Request", "", "", 1, 1},
@@ -180,8 +163,7 @@ TEST(BtraceRoundTrip, FaultAnnotationsRoundTrip) {
   std::uint64_t events = s->settle();
   MetricsSnapshot snap = s->net.metrics_snapshot();
   s->net.write_capture_segment(os, "vgprs", events, snap);
-  std::vector<TraceEntry> live;
-  s->net.trace().for_each([&](const TraceEntry& e) { live.push_back(e); });
+  const std::vector<TraceEntry> live = s->net.trace().entries();
   Result<DecodedCapture> decoded = decode_str(os.str());
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
   expect_traces_equal(decoded.value().runs.front().trace, live);
@@ -193,11 +175,151 @@ TEST(BtraceRoundTrip, FaultAnnotationsRoundTrip) {
   EXPECT_TRUE(saw_fault) << "fault annotation lost in capture round-trip";
 }
 
+// --- captures written by the previous writer ---------------------------------
+
+// tests/golden/capture_*.btrace were written by the writer this one
+// replaced, which kept one ring per engine shard and wrote one shard
+// section each:
+//   vgprs_report --scenario fig6 --iters 1 --threads 4 --capture ...
+//   vgprs_report --faults --iters 1 --capture ...
+// Each must decode to what the same run records live today: the same
+// trace JSONL, and the same spans, metrics, events and simulated time that
+// vgprs_report's per-run JSON is built from.
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(VGPRS_GOLDEN_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden capture " << name;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// What vgprs_report records for one finished network.
+struct LiveRun {
+  std::shared_ptr<const void> scenario;  // what trace views
+  std::vector<TraceEntry> trace;
+  std::vector<Span> spans;
+  MetricsSnapshot snapshot;
+  std::uint64_t events = 0;
+  std::int64_t sim_time_us = 0;
+};
+
+template <typename Scenario>
+LiveRun finish_live(std::unique_ptr<Scenario> s, std::uint64_t events) {
+  LiveRun out;
+  out.trace = s->net.trace().entries();
+  out.spans = s->net.spans().spans();
+  out.snapshot = s->net.metrics_snapshot();
+  out.events = events;
+  out.sim_time_us = s->net.now().count_micros();
+  out.scenario = std::move(s);
+  return out;
+}
+
+/// The fault schedule of vgprs_report --faults.
+FaultSchedule report_fault_schedule() {
+  const auto at = [](std::int64_t ms) {
+    return SimTime::from_micros(ms * 1000);
+  };
+  FaultSchedule sched;
+  sched.message_faults.push_back(
+      {MessagePredicate{"GPRS_Attach_Request", "", "", 1, 1},
+       FaultKind::kDrop});
+  sched.message_faults.push_back(
+      {MessagePredicate{"Activate_PDP_Context_Request", "", "", 1, 1},
+       FaultKind::kCorrupt});
+  sched.node_outages.push_back({"GK", at(0), at(1200)});
+  sched.link_windows.push_back({"SGSN", "GGSN", at(30'010), at(30'810)});
+  sched.latency_spikes.push_back(
+      {"SGSN", "GGSN", at(90'000), at(96'000), SimDuration::millis(25)});
+  sched.node_outages.push_back({"GK", at(149'900), at(151'200)});
+  return sched;
+}
+
+/// One call cycle of vgprs_report --faults (MO call, then MT call) after
+/// registration, on either system.
+template <typename Scenario>
+LiveRun run_fault_cycle(std::unique_ptr<Scenario> s, Msisdn ms_number) {
+  s->net.spans().set_enabled(true);
+  s->net.install_faults(report_fault_schedule());
+  s->ms[0]->power_on();
+  s->terminals[0]->register_endpoint();
+  std::uint64_t events = s->settle();
+  events += s->net.run_until(SimTime::from_micros(30'000'000));
+  s->ms[0]->dial(make_subscriber(88, 1000).msisdn);
+  events += s->settle();
+  s->ms[0]->hangup();
+  events += s->settle();
+  s->terminals[0]->place_call(ms_number);
+  events += s->settle();
+  s->terminals[0]->hangup();
+  events += s->settle();
+  return finish_live(std::move(s), events);
+}
+
+std::string jsonl(const std::vector<TraceEntry>& trace) {
+  std::ostringstream os;
+  write_trace_jsonl(os, trace);
+  return os.str();
+}
+
+void expect_decodes_to_live(const DecodedCapture& cap,
+                            const std::vector<LiveRun>& live) {
+  const std::vector<DecodedRun>& runs = cap.runs;
+  ASSERT_EQ(runs.size(), live.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(jsonl(runs[i].trace), jsonl(live[i].trace)) << "run " << i;
+    expect_spans_equal(runs[i].spans, live[i].spans);
+    EXPECT_EQ(runs[i].metrics.counters, live[i].snapshot.counters);
+    EXPECT_EQ(runs[i].metrics.gauges, live[i].snapshot.gauges);
+    EXPECT_EQ(runs[i].events, live[i].events);
+    EXPECT_DOUBLE_EQ(runs[i].sim_time_ms,
+                     static_cast<double>(live[i].sim_time_us) / 1000.0);
+  }
+}
+
+TEST(BtraceRoundTrip, PreviousWriterShardedCaptureDecodesToLiveRun) {
+  register_all_messages();
+  VgprsParams params;
+  params.sharded = true;
+  params.workers = 4;
+  auto s = build_vgprs(params);
+  s->net.spans().set_enabled(true);
+  s->ms[0]->power_on();
+  s->terminals[0]->register_endpoint();
+  std::uint64_t events = s->settle();
+  s->terminals[0]->place_call(s->ms[0]->config().msisdn);
+  events += s->settle();
+  s->terminals[0]->hangup();
+  events += s->settle();
+  std::vector<LiveRun> live;
+  live.push_back(finish_live(std::move(s), events));
+  Result<DecodedCapture> decoded =
+      decode_str(read_golden("capture_fig6_iters1_threads4.btrace"));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_GT(decoded.value().runs.front().shards.size(), 1u)
+      << "the golden capture should hold one section per engine shard";
+  expect_decodes_to_live(decoded.value(), live);
+}
+
+TEST(BtraceRoundTrip, PreviousWriterFaultCaptureDecodesToLiveRun) {
+  register_all_messages();
+  std::vector<LiveRun> live;
+  auto vg = build_vgprs(VgprsParams{});
+  const Msisdn vg_number = vg->ms[0]->config().msisdn;
+  live.push_back(run_fault_cycle(std::move(vg), vg_number));
+  live.push_back(run_fault_cycle(build_tr23821(TrParams{}),
+                                 make_subscriber(88, 1).msisdn));
+  Result<DecodedCapture> decoded =
+      decode_str(read_golden("capture_faults_iters1.btrace"));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  expect_decodes_to_live(decoded.value(), live);
+}
+
 // --- decoder robustness -----------------------------------------------------
 
 TEST(BtraceRobustness, TruncationAtAnyLengthFailsCleanly) {
   register_all_messages();
-  CaptureRun run = run_capture_scenario(false, 1, 0, 1);
+  CaptureRun run = run_capture_scenario(false, 1, 1);
   const std::string& full = run.bytes;
   Result<DecodedCapture> whole = decode_str(full);
   ASSERT_TRUE(whole.ok());
@@ -215,7 +337,7 @@ TEST(BtraceRobustness, TruncationAtAnyLengthFailsCleanly) {
 
 TEST(BtraceRobustness, ByteFlipsNeverCrashTheDecoder) {
   register_all_messages();
-  CaptureRun run = run_capture_scenario(false, 1, 0, 1);
+  CaptureRun run = run_capture_scenario(false, 1, 1);
   std::string bytes = run.bytes;
   // Flip a byte, decode, restore; stride keeps the sweep fast while still
   // hitting headers, tables, keys, wire images, and metric payloads.

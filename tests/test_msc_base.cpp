@@ -122,6 +122,26 @@ TEST_F(MscBaseTest, HappyPathCallThroughStub) {
   EXPECT_EQ(bsc_->tch_in_use(), 0u);
 }
 
+TEST_F(MscBaseTest, RejectedServiceRequestsDoNotExhaustSdcch) {
+  // A CM Service Reject ends the MS's dedicated connection, so the BSC
+  // must free the SDCCH the request came in on.  This BSC has 8 SDCCHs;
+  // without the release the ninth request would meet congestion, and so
+  // would every later call or page response.
+  register_ms();
+  for (int round = 0; round < 10; ++round) {
+    msc_->on_restart();  // forgets the MS: its next request is rejected
+    ms_->dial(Msisdn(880900001000ULL, 12));
+    net_->run_until_idle();
+    ASSERT_EQ(ms_->state(), MobileStation::State::kIdle) << "round " << round;
+  }
+  EXPECT_EQ(bsc_->sdcch_in_use(), 0u);
+  bool connected = false;
+  ms_->on_connected = [&](CallRef) { connected = true; };
+  ms_->dial(Msisdn(880900001000ULL, 12));
+  net_->run_until_idle();
+  EXPECT_TRUE(connected);
+}
+
 TEST_F(MscBaseTest, StalledFarEndAbortsViaProcedureGuard) {
   register_ms();
   msc_->far_end = TestMsc::FarEnd::kStall;

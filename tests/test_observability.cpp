@@ -188,58 +188,6 @@ TEST(SpanTrackerTest, CallCycleYieldsOriginationAndReleaseSpans) {
   EXPECT_EQ(spans.open_count(), 0u);
 }
 
-// --- TraceRecorder ring mode ------------------------------------------------
-
-TraceEntry numbered_entry(int i) {
-  return TraceEntry{SimTime::from_micros(i * 1000), "A", "B",
-                    "m" + std::to_string(i), "summary " + std::to_string(i)};
-}
-
-TEST(TraceRingTest, ZeroRingCapacityClampsToOneInsteadOfUnbounded) {
-  TraceRecorder t;
-  // Capacity 0 aliases the internal "unbounded" sentinel; it must behave as
-  // the smallest ring, not as kFull with ring bookkeeping.
-  t.set_mode(TraceMode::kRing, 0);
-  for (int i = 0; i < 5; ++i) t.record(numbered_entry(i));
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.entries().front().message, "m4");
-}
-
-TEST(TraceRingTest, WrapAroundLinearizesOldestFirst) {
-  TraceRecorder t;
-  t.set_mode(TraceMode::kRing, 4);
-  for (int i = 0; i < 10; ++i) t.record(numbered_entry(i));
-  EXPECT_EQ(t.size(), 4u);
-  // for_each visits oldest-first even though the backing store wrapped.
-  std::vector<std::string> seen;
-  t.for_each([&](const TraceEntry& e) { seen.push_back(e.message); });
-  EXPECT_EQ(seen, (std::vector<std::string>{"m6", "m7", "m8", "m9"}));
-  // count() sees only what the ring kept.
-  EXPECT_EQ(t.count("m9"), 1u);
-  EXPECT_EQ(t.count("m2"), 0u);
-  // to_string renders in the same linearized order.
-  std::string rendered = t.to_string();
-  EXPECT_LT(rendered.find("summary 6"), rendered.find("summary 9"));
-  EXPECT_EQ(rendered.find("summary 5"), std::string::npos);
-}
-
-TEST(TraceRingTest, ClearAfterWrapResetsHeadAndKeepsRecording) {
-  TraceRecorder t;
-  t.set_mode(TraceMode::kRing, 3);
-  for (int i = 0; i < 7; ++i) t.record(numbered_entry(i));
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  std::size_t visited = 0;
-  t.for_each([&](const TraceEntry&) { ++visited; });
-  EXPECT_EQ(visited, 0u);
-  // A cleared ring starts over: entries land oldest-first again, not at the
-  // stale pre-clear head position.
-  for (int i = 100; i < 102; ++i) t.record(numbered_entry(i));
-  std::vector<std::string> seen;
-  t.for_each([&](const TraceEntry& e) { seen.push_back(e.message); });
-  EXPECT_EQ(seen, (std::vector<std::string>{"m100", "m101"}));
-}
-
 // --- MetricsRegistry --------------------------------------------------------
 
 TEST(MetricsRegistryTest, InstrumentsAccumulateAndSnapshot) {
@@ -452,7 +400,7 @@ TEST(ExportTest, TraceJsonlIsOneObjectPerDelivery) {
   s->ms[0]->power_on();
   s->settle();
   std::ostringstream out;
-  write_trace_jsonl(out, s->net.trace());
+  write_trace_jsonl(out, s->net.trace().entries());
   std::istringstream lines(out.str());
   std::string line;
   std::size_t n = 0;

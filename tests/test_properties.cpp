@@ -169,6 +169,7 @@ std::vector<std::string> chaos_cell(std::uint64_t seed) {
   }
 
   check(s->bsc->tch_in_use() == 0, "leaked TCHs");
+  check(s->bsc->sdcch_in_use() == 0, "leaked SDCCHs");
   check(s->sgsn->pdp_context_count() == s->ms.size(),
         "SGSN PDP context count != num MS");
   check(s->ggsn->pdp_context_count() == s->ms.size(),
@@ -188,11 +189,11 @@ std::vector<std::string> chaos_cell(std::uint64_t seed) {
   std::size_t deact = 0;
   s->net.trace().for_each([&](const TraceEntry& e) {
     if (e.message == "Activate_PDP_Context_Accept" &&
-        e.summary.find("NSAPI:6") != std::string::npos) {
+        e.summary().find("NSAPI:6") != std::string::npos) {
       ++act;
     }
     if (e.message == "Deactivate_PDP_Context_Request" &&
-        e.summary.find("NSAPI:6") != std::string::npos) {
+        e.summary().find("NSAPI:6") != std::string::npos) {
       ++deact;
     }
   });

@@ -336,29 +336,42 @@ TEST_F(SimTest, DisabledTraceRecordsNothingButDelivers) {
   EXPECT_EQ(net.trace().size(), 0u);
 }
 
-TEST_F(SimTest, RingTraceKeepsLastEntriesInOrder) {
+TEST_F(SimTest, TraceKeepsEveryDeliveryInOrderUntilClear) {
   Network net;
-  net.trace().set_mode(TraceMode::kRing, 4);
   auto& a = net.add<Probe>("a");
   auto& b = net.add<Probe>("b");
   LinkProfile p;
   p.latency = SimDuration::millis(1);
   net.connect(a, b, p);
+  auto send_pings = [&](std::uint32_t first, std::uint32_t n) {
+    for (std::uint32_t i = first; i < first + n; ++i) {
+      auto ping = std::make_shared<Ping>();
+      ping->value = i;
+      net.send(a.id(), b.id(), std::move(ping), SimDuration::millis(i));
+    }
+    net.run_until_idle();
+  };
+  auto summaries = [&] {
+    std::vector<std::string> out;
+    net.trace().for_each(
+        [&](const TraceEntry& e) { out.push_back(e.summary()); });
+    return out;
+  };
+  send_pings(0, 10);
+  ASSERT_EQ(net.trace().size(), 10u);
+  const std::vector<std::string> first = summaries();
   for (std::uint32_t i = 0; i < 10; ++i) {
-    auto ping = std::make_shared<Ping>();
-    ping->value = i;
-    net.send(a.id(), b.id(), std::move(ping), SimDuration::millis(i));
+    EXPECT_EQ(first[i], "Ping {" + std::to_string(i) + "}");
   }
-  net.run_until_idle();
-  ASSERT_EQ(net.trace().size(), 4u);
-  // for_each linearizes the ring oldest-first: deliveries 6..9 remain.
-  std::vector<std::string> summaries;
-  net.trace().for_each(
-      [&](const TraceEntry& e) { summaries.push_back(e.summary); });
-  ASSERT_EQ(summaries.size(), 4u);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(summaries[i], "Ping {" + std::to_string(6 + i) + "}");
-  }
+  const std::string rendered = net.trace().to_string();
+  EXPECT_LT(rendered.find("Ping {0}"), rendered.find("Ping {9}"));
+  // clear() drops every record; recording goes on from there.
+  net.trace().clear();
+  EXPECT_EQ(net.trace().size(), 0u);
+  EXPECT_TRUE(summaries().empty());
+  send_pings(100, 2);
+  EXPECT_EQ(summaries(),
+            (std::vector<std::string>{"Ping {100}", "Ping {101}"}));
 }
 
 TEST_F(SimTest, NodeLookupByNameIsTransparent) {
@@ -408,14 +421,20 @@ TEST_F(SimTest, DuplicateNodeNameRejected) {
 }
 
 TEST_F(SimTest, TraceMatcherSemantics) {
-  TraceRecorder trace;
-  auto entry = [&](const char* from, const char* msg, const char* to) {
-    trace.record(TraceEntry{SimTime::origin(), from, to, msg, msg});
+  // Fault annotations enter the same stream as deliveries; their names make
+  // a compact hand-built trace.
+  Network net;
+  const NodeId a = net.add<Probe>("a").id();
+  const NodeId b = net.add<Probe>("b").id();
+  const NodeId c = net.add<Probe>("c").id();
+  const TraceRecorder& trace = net.trace();
+  auto entry = [&](NodeId from, const char* msg, NodeId to) {
+    net.record_fault(SimTime::origin(), from, to, msg, msg);
   };
-  entry("a", "X", "b");
-  entry("b", "Y", "c");
-  entry("a", "X", "b");
-  entry("c", "Z", "a");
+  entry(a, "X", b);
+  entry(b, "Y", c);
+  entry(a, "X", b);
+  entry(c, "Z", a);
 
   EXPECT_EQ(trace.count("X"), 2u);
   EXPECT_EQ(trace.count(FlowStep{"a", "X", "b"}), 2u);

@@ -41,6 +41,7 @@
 #include <iostream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,8 +64,7 @@ struct Options {
   std::string metrics_path;
   std::string chrome_path;
   std::string jsonl_path;
-  std::string capture_path;      // binary capture
-  std::size_t capture_ring = 0;  // ring bytes per shard (0 = keep all)
+  std::string capture_path;   // binary capture
   std::uint32_t iters = 20;
   std::uint64_t seed = 1;
   unsigned threads = 1;       // >1: sharded engine with this many workers
@@ -107,6 +107,8 @@ struct RunResult {
   std::vector<ShardPerfStats> shard_perf;  // --shard-stats only
   double sim_time_ms = 0.0;
   std::size_t events = 0;
+  // What `trace` views: the scenarios that ran, or the decoded capture.
+  std::vector<std::shared_ptr<const void>> owners;
 };
 
 /// Sink for --capture: owns the output stream, writes the kFileInfo header
@@ -117,7 +119,6 @@ class CaptureWriter {
   /// Returns false (with a message on stderr) when the output cannot be
   /// opened.
   bool open(const Options& opt) {
-    ring_ = opt.capture_ring;
     shard_stats_ = opt.shard_stats;
     if (opt.capture_path.empty()) return true;
     out_.open(opt.capture_path, std::ios::binary);
@@ -135,7 +136,7 @@ class CaptureWriter {
   void arm(Network& net) const {
     net.spans().set_enabled(true);
     net.enable_shard_stats(shard_stats_);
-    if (out_.is_open()) net.enable_capture(CaptureConfig{ring_});
+    if (out_.is_open()) net.enable_capture();
   }
 
   /// True while every capture write so far has succeeded.
@@ -153,7 +154,6 @@ class CaptureWriter {
 
  private:
   bool shard_stats_ = false;
-  std::size_t ring_ = 0;
   std::ofstream out_;
 };
 
@@ -279,19 +279,22 @@ void write_run_json(JsonWriter& w, const RunResult& run) {
 
 // --- scenario runners --------------------------------------------------------
 
-RunResult finish_run(Network& net, std::string system, std::size_t events,
-                     CaptureWriter& cap) {
+template <typename Scenario>
+RunResult finish_run(std::unique_ptr<Scenario> s, std::string system,
+                     std::size_t events, CaptureWriter& cap) {
+  Network& net = s->net;
   RunResult r;
   r.system = std::move(system);
   if (net.shard_stats_enabled() && net.num_shards() > 1) {
     r.shard_perf = net.shard_perf();
   }
   r.spans = net.spans().spans();
-  net.trace().for_each([&](const TraceEntry& e) { r.trace.push_back(e); });
+  r.trace = net.trace().entries();
   r.metrics = net.metrics_snapshot();
   r.sim_time_ms = static_cast<double>(net.now().count_micros()) / 1000.0;
   r.events = events;
   cap.finish(net, r.system, events, r.metrics);
+  r.owners.push_back(std::move(s));
   return r;
 }
 
@@ -304,7 +307,7 @@ RunResult run_fig4(const Options& opt, CaptureWriter& cap) {
   cap.arm(s->net);
   for (MobileStation* ms : s->ms) ms->power_on();
   std::size_t events = s->settle();
-  return finish_run(s->net, "vgprs", events, cap);
+  return finish_run(std::move(s), "vgprs", events, cap);
 }
 
 RunResult run_fig5(const Options& opt, CaptureWriter& cap) {
@@ -323,7 +326,7 @@ RunResult run_fig5(const Options& opt, CaptureWriter& cap) {
     s->ms[0]->hangup();
     events += s->settle();
   }
-  return finish_run(s->net, "vgprs", events, cap);
+  return finish_run(std::move(s), "vgprs", events, cap);
 }
 
 RunResult run_fig6(const Options& opt, CaptureWriter& cap) {
@@ -342,7 +345,7 @@ RunResult run_fig6(const Options& opt, CaptureWriter& cap) {
     s->terminals[0]->hangup();
     events += s->settle();
   }
-  return finish_run(s->net, "vgprs", events, cap);
+  return finish_run(std::move(s), "vgprs", events, cap);
 }
 
 RunResult run_tromboning(const Options& opt, bool use_vgprs,
@@ -363,7 +366,7 @@ RunResult run_tromboning(const Options& opt, bool use_vgprs,
   }
   s->net.metrics().gauge("tromboning/international_trunks") =
       static_cast<double>(s->international_trunks());
-  return finish_run(s->net, use_vgprs ? "vgprs" : "gsm", events, cap);
+  return finish_run(std::move(s), use_vgprs ? "vgprs" : "gsm", events, cap);
 }
 
 RunResult run_fig9(const Options& opt, CaptureWriter& cap) {
@@ -393,8 +396,8 @@ RunResult run_fig9(const Options& opt, CaptureWriter& cap) {
     combined.events += iter_events;
     const auto& spans = s->net.spans().spans();
     combined.spans.insert(combined.spans.end(), spans.begin(), spans.end());
-    s->net.trace().for_each(
-        [&](const TraceEntry& e) { combined.trace.push_back(e); });
+    const std::vector<TraceEntry> trace = s->net.trace().entries();
+    combined.trace.insert(combined.trace.end(), trace.begin(), trace.end());
     // Sync net/* counters into the registry, and hand the exact snapshot to
     // the capture so an offline decode re-aggregates the iterations the way
     // merge_from below does.
@@ -403,6 +406,7 @@ RunResult run_fig9(const Options& opt, CaptureWriter& cap) {
     combined.sim_time_ms +=
         static_cast<double>(s->net.now().count_micros()) / 1000.0;
     cap.finish(s->net, "vgprs", iter_events, snap);
+    combined.owners.push_back(std::move(s));
   }
   combined.metrics = aggregate.snapshot();
   return combined;
@@ -431,7 +435,7 @@ RunResult run_tr23821_workload(const Options& opt, CaptureWriter& cap) {
     s->terminals[0]->hangup();
     events += s->settle();
   }
-  return finish_run(s->net, "tr23821", events, cap);
+  return finish_run(std::move(s), "tr23821", events, cap);
 }
 
 RunResult run_vgprs_workload(const Options& opt, CaptureWriter& cap) {
@@ -455,7 +459,7 @@ RunResult run_vgprs_workload(const Options& opt, CaptureWriter& cap) {
     s->terminals[0]->hangup();
     events += s->settle();
   }
-  return finish_run(s->net, "vgprs", events, cap);
+  return finish_run(std::move(s), "vgprs", events, cap);
 }
 
 // --- fault / recovery comparison ---------------------------------------------
@@ -515,7 +519,7 @@ RunResult run_faults_vgprs(const Options& opt, CaptureWriter& cap) {
     s->terminals[0]->hangup();
     events += s->settle();
   }
-  return finish_run(s->net, "vgprs", events, cap);
+  return finish_run(std::move(s), "vgprs", events, cap);
 }
 
 RunResult run_faults_tr23821(const Options& opt, CaptureWriter& cap) {
@@ -543,7 +547,7 @@ RunResult run_faults_tr23821(const Options& opt, CaptureWriter& cap) {
     s->terminals[0]->hangup();
     events += s->settle();
   }
-  return finish_run(s->net, "tr23821", events, cap);
+  return finish_run(std::move(s), "tr23821", events, cap);
 }
 
 std::vector<RunResult> run_scenario(const Options& opt, CaptureWriter& cap) {
@@ -582,8 +586,7 @@ int usage() {
                "PATH]\n"
                "                    [--chrome-trace PATH] [--trace-jsonl "
                "PATH]\n"
-               "                    [--capture PATH]\n"
-               "                    [--capture-ring BYTES] [--shard-stats 0|1]\n"
+               "                    [--capture PATH] [--shard-stats 0|1]\n"
                "       vgprs_report decode --in PATH [--json PATH]\n"
                "                    [--metrics PATH] [--chrome-trace PATH]\n"
                "                    [--trace-jsonl PATH] [--diff PATH]\n"
@@ -597,8 +600,9 @@ int usage() {
                "excluded from the determinism guarantee; busy/drain are\n"
                "measured per shard, barrier is the owning worker's wait\n"
                "repeated on each shard it owns)\n"
-               "--capture writes a packed binary vgprs.btrace.v1 capture;\n"
-               "decode reads one back and reprints/re-exports the run\n"
+               "--capture writes the run's trace, span operations and metrics\n"
+               "as a packed binary vgprs.btrace.v1 capture; decode reads one\n"
+               "back and reprints/re-exports the run\n"
                "scenarios:");
   for (const char* s : kScenarios) std::fprintf(stderr, " %s", s);
   std::fprintf(stderr, "\n");
@@ -691,10 +695,12 @@ Result<DecodedCapture> load_capture(const std::string& path) {
   }
 }
 
-std::vector<RunResult> to_run_results(DecodedCapture& cap) {
+std::vector<RunResult> to_run_results(DecodedCapture cap) {
+  // The runs' entries view names and messages the decoded runs own.
+  const auto owner = std::make_shared<DecodedCapture>(std::move(cap));
   std::vector<RunResult> runs;
-  runs.reserve(cap.runs.size());
-  for (DecodedRun& run : cap.runs) {
+  runs.reserve(owner->runs.size());
+  for (DecodedRun& run : owner->runs) {
     RunResult r;
     r.system = std::move(run.system);
     r.spans = std::move(run.spans);
@@ -702,6 +708,7 @@ std::vector<RunResult> to_run_results(DecodedCapture& cap) {
     r.metrics = std::move(run.metrics);
     r.sim_time_ms = run.sim_time_ms;
     r.events = run.events;
+    r.owners.push_back(owner);
     runs.push_back(std::move(r));
   }
   return runs;
@@ -737,7 +744,7 @@ bool diff_captures(const std::vector<RunResult>& a,
       const TraceEntry& ea = ra.trace[d];
       const TraceEntry& eb = rb.trace[d];
       if (ea.at != eb.at || ea.from != eb.from || ea.to != eb.to ||
-          ea.message != eb.message || ea.summary != eb.summary) {
+          ea.message != eb.message || ea.summary() != eb.summary()) {
         break;
       }
       ++d;
@@ -749,8 +756,10 @@ bool diff_captures(const std::vector<RunResult>& a,
       auto show = [&](const char* tag, const std::vector<TraceEntry>& t) {
         if (d < t.size()) {
           const TraceEntry& e = t[d];
-          std::printf("  %s: %10.3f ms  %s -> %s  %s\n", tag, e.at.as_millis(),
-                      e.from.c_str(), e.to.c_str(), e.summary.c_str());
+          std::printf("  %s: %10.3f ms  %.*s -> %.*s  %s\n", tag,
+                      e.at.as_millis(), static_cast<int>(e.from.size()),
+                      e.from.data(), static_cast<int>(e.to.size()),
+                      e.to.data(), e.summary().c_str());
         } else {
           std::printf("  %s: <no entry>\n", tag);
         }
@@ -829,7 +838,7 @@ int run_decode(const DecodeOptions& opt) {
     }
   }
   const BtraceInfo info = cap.info;
-  std::vector<RunResult> runs = to_run_results(cap);
+  std::vector<RunResult> runs = to_run_results(std::move(cap));
   for (const RunResult& r : runs) print_table(r);
 
   if (!opt.diff_path.empty()) {
@@ -839,8 +848,8 @@ int run_decode(const DecodeOptions& opt) {
                    opt.diff_path.c_str(), other.error().to_string().c_str());
       return 1;
     }
-    DecodedCapture other_cap = std::move(other).value();
-    std::vector<RunResult> other_runs = to_run_results(other_cap);
+    std::vector<RunResult> other_runs =
+        to_run_results(std::move(other).value());
     if (diff_captures(runs, other_runs)) {
       std::printf("captures identical\n");
     } else {
@@ -925,9 +934,6 @@ int main(int argc, char** argv) {
       opt.jsonl_path = next("--trace-jsonl");
     } else if (std::strcmp(argv[i], "--capture") == 0) {
       opt.capture_path = next("--capture");
-    } else if (std::strcmp(argv[i], "--capture-ring") == 0) {
-      opt.capture_ring = static_cast<std::size_t>(
-          next_uint("--capture-ring", std::numeric_limits<std::uint64_t>::max()));
     } else if (std::strcmp(argv[i], "--iters") == 0) {
       opt.iters = static_cast<std::uint32_t>(
           next_uint("--iters", std::numeric_limits<std::uint32_t>::max()));
