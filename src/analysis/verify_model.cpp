@@ -62,7 +62,7 @@ VerifyModel build_model() {
         {"handoff-target", {}, {}}},
        {"A_Handover_Required", "MAP_Prepare_Handover",
         "MAP_Prepare_Handover_ack", "A_Handover_Request_Ack",
-        "A_Handover_Complete", "MAP_Send_End_Signal"},
+        "A_Handover_Complete", "MAP_Send_End_Signal", "MAP_U_Abort"},
        3});
 
   model.procedures.push_back(
@@ -171,6 +171,9 @@ VerifyModel build_model() {
        "reservation"},
       {"unhandled", "handoff-target", "*", "A_Handover_Complete",
        "ignored when no reservation is awaiting access"},
+      {"unhandled", "handoff-target", "*", "MAP_U_Abort",
+       "an abort with no reservation held (never prepared, already "
+       "released) or for an MS already served here is ignored"},
 
       // tr-ms: every handler is gated on the handset state; late or
       // duplicate answers outside the requesting state are dropped.

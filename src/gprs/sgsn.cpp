@@ -11,6 +11,13 @@ const Sgsn::PdpContext* Sgsn::context(Imsi imsi, Nsapi nsapi) const {
   return contexts_.find(key(imsi, nsapi));
 }
 
+void Sgsn::erase_context(const PdpContext& ctx) {
+  retx_.ack(retx_key(RetxKind::kGtpCreate, ctx.imsi, ctx.nsapi));
+  retx_.ack(retx_key(RetxKind::kGtpDelete, ctx.imsi, ctx.nsapi));
+  by_teid_.erase(ctx.sgsn_teid.value());
+  contexts_.erase(key(ctx.imsi, ctx.nsapi));
+}
+
 NodeId Sgsn::ggsn() const {
   Node* n = net().node_by_name(config_.ggsn_name);
   if (n == nullptr) throw std::logic_error(name() + ": no GGSN");
@@ -49,17 +56,8 @@ void Sgsn::on_message(const Envelope& env) {
     auto ul = pool_message<MapUpdateGprsLocation>();
     ul->imsi = req->imsi;
     ul->sgsn_name = name();
-    send(hlr(), std::move(ul));
-    retx_.arm(
-        retx_key(RetxKind::kMapGprsUl, req->imsi),
-        [this, imsi = req->imsi] {
-          const Attachment* a = attachments_.find(imsi);
-          if (a == nullptr || a->attached) return;
-          auto again = pool_message<MapUpdateGprsLocation>();
-          again->imsi = imsi;
-          again->sgsn_name = name();
-          send(hlr(), std::move(again));
-        },
+    retx_.send(
+        retx_key(RetxKind::kMapGprsUl, req->imsi), hlr(), std::move(ul),
         [this, imsi = req->imsi] {
           const Attachment* a = attachments_.find(imsi);
           if (a == nullptr || a->attached) return;
@@ -107,8 +105,7 @@ void Sgsn::on_message(const Envelope& env) {
     // Tear down any remaining contexts at the GGSN — direct probes of the
     // two NSAPIs in use (5 = signaling, 6 = voice), not a scan of every
     // subscriber's contexts.  The context entries are gone before the GTP
-    // responses arrive, so the retransmission thunks carry everything
-    // needed to re-emit the delete.
+    // responses arrive; the delete's exchange keeps the request it sent.
     for (std::uint8_t n : {std::uint8_t{5}, std::uint8_t{6}}) {
       const PdpContext* ctx = contexts_.find(key(req->imsi, Nsapi(n)));
       if (ctx == nullptr || ctx->holder != env.from) continue;
@@ -116,23 +113,14 @@ void Sgsn::on_message(const Envelope& env) {
       del->imsi = ctx->imsi;
       del->nsapi = ctx->nsapi;
       del->teid = ctx->ggsn_teid;
-      send(ggsn(), std::move(del));
-      retx_.arm(
-          retx_key(RetxKind::kGtpDelete, ctx->imsi, ctx->nsapi),
-          [this, imsi = ctx->imsi, nsapi = ctx->nsapi,
-           teid = ctx->ggsn_teid] {
-            auto again = pool_message<GtpDeletePdpContextRequest>();
-            again->imsi = imsi;
-            again->nsapi = nsapi;
-            again->teid = teid;
-            send(ggsn(), std::move(again));
-          },
-          // GGSN unreachable: its context leaks until it ages out there;
-          // nothing left to unwind here.
-          std::function<void()>{});
-      by_teid_.erase(ctx->sgsn_teid.value());
-      contexts_.erase(key(req->imsi, Nsapi(n)));
+      erase_context(*ctx);
+      // GGSN unreachable: its context leaks until it ages out there;
+      // nothing left to unwind here.
+      retx_.send(retx_key(RetxKind::kGtpDelete, req->imsi, Nsapi(n)), ggsn(),
+                 std::move(del));
     }
+    // An attach still waiting on the HLR ends with the attachment.
+    retx_.ack(retx_key(RetxKind::kMapGprsUl, req->imsi));
     attachments_.erase(req->imsi);
     auto acc = pool_message<GprsDetachAccept>();
     acc->imsi = req->imsi;
@@ -168,7 +156,9 @@ void Sgsn::on_message(const Envelope& env) {
         return;
       }
       // Re-activation over an existing context (e.g. the subscriber moved
-      // to a new VMSC): drop the stale tunnel endpoint mapping.
+      // to a new VMSC): drop the stale tunnel endpoint mapping, and a delete
+      // still in flight for the context being replaced.
+      retx_.ack(retx_key(RetxKind::kGtpDelete, req->imsi, req->nsapi));
       by_teid_.erase(ctx.sgsn_teid.value());
     }
     ctx.imsi = req->imsi;
@@ -186,23 +176,9 @@ void Sgsn::on_message(const Envelope& env) {
     create->sgsn_teid = ctx.sgsn_teid;
     create->requested_address = req->requested_address;
     create->qos = req->qos;
-    send(ggsn(), std::move(create));
-    retx_.arm(
-        retx_key(RetxKind::kGtpCreate, req->imsi, req->nsapi),
-        [this, imsi = req->imsi, nsapi = req->nsapi,
-         requested = req->requested_address] {
-          const PdpContext* c = contexts_.find(key(imsi, nsapi));
-          if (c == nullptr || c->active) return;
-          auto again = pool_message<GtpCreatePdpContextRequest>();
-          again->imsi = imsi;
-          again->nsapi = nsapi;
-          again->sgsn_name = name();
-          again->sgsn_teid = c->sgsn_teid;
-          again->requested_address = requested;
-          again->qos = c->qos;
-          send(ggsn(), std::move(again));
-        },
-        [this, imsi = req->imsi, nsapi = req->nsapi] {
+    retx_.send(
+        retx_key(RetxKind::kGtpCreate, req->imsi, req->nsapi), ggsn(),
+        std::move(create), [this, imsi = req->imsi, nsapi = req->nsapi] {
           const PdpContext* c = contexts_.find(key(imsi, nsapi));
           if (c == nullptr || c->active) return;
           auto rej = pool_message<ActivatePdpContextReject>();
@@ -210,8 +186,7 @@ void Sgsn::on_message(const Envelope& env) {
           rej->nsapi = nsapi;
           rej->cause = 38;  // network failure: GGSN unreachable
           send(c->holder, std::move(rej));
-          by_teid_.erase(c->sgsn_teid.value());
-          contexts_.erase(key(imsi, nsapi));
+          erase_context(*c);
         });
     return;
   }
@@ -226,8 +201,7 @@ void Sgsn::on_message(const Envelope& env) {
       rej->nsapi = rsp->nsapi;
       rej->cause = rsp->cause;
       send(ctx.holder, std::move(rej));
-      by_teid_.erase(ctx.sgsn_teid.value());
-      contexts_.erase(key(rsp->imsi, rsp->nsapi));
+      erase_context(ctx);
       return;
     }
     ctx.address = rsp->address;
@@ -263,26 +237,15 @@ void Sgsn::on_message(const Envelope& env) {
     del->imsi = req->imsi;
     del->nsapi = req->nsapi;
     del->teid = ctx->ggsn_teid;
-    send(ggsn(), std::move(del));
-    retx_.arm(
-        retx_key(RetxKind::kGtpDelete, req->imsi, req->nsapi),
-        [this, imsi = req->imsi, nsapi = req->nsapi] {
-          const PdpContext* c = contexts_.find(key(imsi, nsapi));
-          if (c == nullptr || !c->deleting) return;
-          auto again = pool_message<GtpDeletePdpContextRequest>();
-          again->imsi = imsi;
-          again->nsapi = nsapi;
-          again->teid = c->ggsn_teid;
-          send(ggsn(), std::move(again));
-        },
-        [this, imsi = req->imsi, nsapi = req->nsapi] {
+    retx_.send(
+        retx_key(RetxKind::kGtpDelete, req->imsi, req->nsapi), ggsn(),
+        std::move(del), [this, imsi = req->imsi, nsapi = req->nsapi] {
           // GGSN unreachable: confirm toward the holder anyway and drop
           // the local context; the GGSN side ages out on its own.
           const PdpContext* c = contexts_.find(key(imsi, nsapi));
           if (c == nullptr) return;
           NodeId holder = c->holder;
-          by_teid_.erase(c->sgsn_teid.value());
-          contexts_.erase(key(imsi, nsapi));
+          erase_context(*c);
           auto acc = pool_message<DeactivatePdpContextAccept>();
           acc->imsi = imsi;
           acc->nsapi = nsapi;
@@ -296,8 +259,7 @@ void Sgsn::on_message(const Envelope& env) {
     const PdpContext* ctx = contexts_.find(key(rsp->imsi, rsp->nsapi));
     if (ctx == nullptr) return;
     NodeId holder = ctx->holder;
-    by_teid_.erase(ctx->sgsn_teid.value());
-    contexts_.erase(key(rsp->imsi, rsp->nsapi));
+    erase_context(*ctx);
     ++net().metrics().counter(name() + "/pdp_deactivations");
     net().metrics().gauge(name() + "/pdp_contexts") =
         static_cast<double>(contexts_.size());

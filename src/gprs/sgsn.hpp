@@ -81,6 +81,9 @@ class Sgsn final : public Node {
   static std::uint64_t key(Imsi imsi, Nsapi nsapi) {
     return (imsi.value() << 4) | nsapi.value();
   }
+  /// Erases a PDP context.  The GTP create and delete exchanges served it
+  /// and end with it.
+  void erase_context(const PdpContext& ctx);
   [[nodiscard]] NodeId ggsn() const;
   [[nodiscard]] NodeId hlr() const;
 

@@ -217,6 +217,9 @@ using MapPrepareHandoverAck =
     ProtoMessage<MapPrepareHandoverAckInfo, 0x0412, "MAP_Prepare_Handover_ack">;
 using MapSendEndSignal =
     ProtoMessage<HandoverRefInfo, 0x0413, "MAP_Send_End_Signal">;
+/// MAP U-ABORT on the handover dialogue: the anchor abandoned the attempt,
+/// so the target releases whatever it reserved for the MS.
+using MapUAbort = ProtoMessage<HandoverRefInfo, 0x041A, "MAP_U_Abort">;
 using MapUpdateGprsLocation =
     ProtoMessage<MapGprsLocationInfo, 0x0414, "MAP_Update_Gprs_Location">;
 using MapUpdateGprsLocationAck =

@@ -175,10 +175,11 @@ void MobileStation::on_timer(TimerId, std::uint64_t cookie) {
       break;
     case TimerKind::kGuard:
       // Still in the state that armed supervision: the last message (or
-      // its answer) was lost.  Retransmit, LAPDm-style, then give up.
+      // its answer) was lost.  Retransmit, LAPDm-style, then give up.  A
+      // sent message is immutable, so the copy is the message itself.
       if (retries_left_ > 0 && last_proc_msg_ != nullptr) {
         --retries_left_;
-        send(bts(), MessagePtr(last_proc_msg_->clone()));
+        send(bts(), last_proc_msg_);
         arm_guard();
       } else {
         fail(std::string("guard timeout in state ") + to_string(state_));

@@ -52,9 +52,8 @@ NodeId MscBase::downlink(const MsContext& ctx) const {
 
 // --- request retransmission ---------------------------------------------------
 
-void MscBase::arm_request(RetxKind kind, Imsi imsi,
-                          std::function<void()> resend) {
-  retx_.arm(retx_key(kind, imsi), std::move(resend), [this, imsi] {
+void MscBase::send_vlr_request(RetxKind kind, Imsi imsi, MessagePtr request) {
+  retx_.send(retx_key(kind, imsi), vlr(), std::move(request), [this, imsi] {
     MsContext* ctx = context(imsi);
     if (ctx == nullptr || ctx->proc == Proc::kNone ||
         ctx->step == Step::kActive) {
@@ -62,6 +61,27 @@ void MscBase::arm_request(RetxKind kind, Imsi imsi,
     }
     abort_procedure(*ctx);
   });
+}
+
+void MscBase::set_step(MsContext& ctx, Step step) {
+  switch (ctx.step) {
+    case Step::kAuthInfo:
+      retx_.ack(retx_key(RetxKind::kMapAuth, ctx.imsi));
+      break;
+    case Step::kUla:
+      retx_.ack(retx_key(RetxKind::kMapUla, ctx.imsi));
+      break;
+    case Step::kAuthorize:
+      retx_.ack(retx_key(RetxKind::kMapOutCall, ctx.imsi));
+      break;
+    case Step::kMoProgress:
+      retx_.ack(retx_key(RetxKind::kRasArq, ctx.imsi));
+      retx_.ack(retx_key(RetxKind::kQ931Setup, ctx.imsi));
+      break;
+    default:
+      break;
+  }
+  ctx.step = step;
 }
 
 void MscBase::drop_requests(Imsi imsi) {
@@ -79,17 +99,10 @@ void MscBase::drop_requests(Imsi imsi) {
 // --- security sub-procedure --------------------------------------------------
 
 void MscBase::begin_auth(MsContext& ctx) {
-  ctx.step = Step::kAuthInfo;
+  set_step(ctx, Step::kAuthInfo);
   auto req = pool_message<MapSendAuthInfo>();
   req->imsi = ctx.imsi;
-  send(vlr(), std::move(req));
-  arm_request(RetxKind::kMapAuth, ctx.imsi, [this, imsi = ctx.imsi] {
-    MsContext* c = context(imsi);
-    if (c == nullptr || c->step != Step::kAuthInfo) return;
-    auto again = pool_message<MapSendAuthInfo>();
-    again->imsi = imsi;
-    send(vlr(), std::move(again));
-  });
+  send_vlr_request(RetxKind::kMapAuth, ctx.imsi, std::move(req));
 }
 
 void MscBase::continue_after_security(MsContext& ctx) {
@@ -98,7 +111,7 @@ void MscBase::continue_after_security(MsContext& ctx) {
       send_ula(ctx);
       break;
     case Proc::kMoCall: {
-      ctx.step = Step::kAwaitSetup;
+      set_step(ctx, Step::kAwaitSetup);
       auto acc = pool_message<ACmServiceAccept>();
       acc->imsi = ctx.imsi;
       send(ctx.bsc, std::move(acc));
@@ -108,7 +121,7 @@ void MscBase::continue_after_security(MsContext& ctx) {
       // Deliver the call: Setup plus early traffic-channel assignment
       // (paper step 4.5: "traffic channel assignment ... The VMSC sends
       // A_Setup to the BSC").
-      ctx.step = Step::kAwaitAlert;
+      set_step(ctx, Step::kAwaitAlert);
       auto setup = pool_message<ASetup>();
       setup->imsi = ctx.imsi;
       setup->call_ref = ctx.call_ref;
@@ -126,21 +139,12 @@ void MscBase::continue_after_security(MsContext& ctx) {
 }
 
 void MscBase::send_ula(MsContext& ctx) {
-  ctx.step = Step::kUla;
+  set_step(ctx, Step::kUla);
   auto ula = pool_message<MapUpdateLocationArea>();
   ula->imsi = ctx.imsi;
   ula->lai = ctx.lai;
   ula->msc_name = name();
-  send(vlr(), std::move(ula));
-  arm_request(RetxKind::kMapUla, ctx.imsi, [this, imsi = ctx.imsi] {
-    MsContext* c = context(imsi);
-    if (c == nullptr || c->step != Step::kUla) return;
-    auto again = pool_message<MapUpdateLocationArea>();
-    again->imsi = imsi;
-    again->lai = c->lai;
-    again->msc_name = name();
-    send(vlr(), std::move(again));
-  });
+  send_vlr_request(RetxKind::kMapUla, ctx.imsi, std::move(ula));
 }
 
 void MscBase::finish_registration(MsContext& ctx) {
@@ -148,7 +152,7 @@ void MscBase::finish_registration(MsContext& ctx) {
   ++net().metrics().counter(name() + "/registrations_accepted");
   ctx.registered = true;
   ctx.proc = Proc::kNone;
-  ctx.step = Step::kNone;
+  set_step(ctx, Step::kNone);
   auto acc = pool_message<ALocationUpdateAccept>();
   acc->imsi = ctx.imsi;
   acc->lai = ctx.lai;
@@ -161,7 +165,7 @@ void MscBase::reject_registration(MsContext& ctx, std::uint8_t cause) {
   drop_requests(ctx.imsi);
   disarm_procedure_guard(ctx);
   ctx.proc = Proc::kNone;
-  ctx.step = Step::kNone;
+  set_step(ctx, Step::kNone);
   ctx.registered = false;
   auto rej = pool_message<ALocationUpdateReject>();
   rej->imsi = ctx.imsi;
@@ -180,7 +184,7 @@ void MscBase::notify_mo_alerting(MsContext& ctx) {
 
 void MscBase::notify_mo_connect(MsContext& ctx) {
   disarm_procedure_guard(ctx);
-  ctx.step = Step::kActive;
+  set_step(ctx, Step::kActive);
   auto conn = pool_message<AConnect>();
   conn->imsi = ctx.imsi;
   conn->call_ref = ctx.call_ref;
@@ -202,7 +206,7 @@ bool MscBase::start_mt_call(Imsi imsi, Msisdn calling, CallRef call_ref) {
   arm_procedure_guard(*ctx);
   net().spans().open(SpanKind::kTermination, imsi.value(), name(), now());
   ++net().metrics().counter(name() + "/mt_calls_started");
-  ctx->step = Step::kPaging;
+  set_step(*ctx, Step::kPaging);
   ctx->call_ref = call_ref;
   ctx->calling = calling;
   call_index_[call_ref] = imsi;
@@ -224,7 +228,7 @@ void MscBase::complete_ms_release(MsContext& ctx) {
 
 void MscBase::release_from_network(MsContext& ctx, ClearCause cause) {
   arm_procedure_guard(ctx);
-  ctx.step = Step::kReleasingNet;
+  set_step(ctx, Step::kReleasingNet);
   auto disc = pool_message<ADisconnect>();
   disc->imsi = ctx.imsi;
   disc->call_ref = ctx.call_ref;
@@ -233,7 +237,7 @@ void MscBase::release_from_network(MsContext& ctx, ClearCause cause) {
 }
 
 void MscBase::clear_radio(MsContext& ctx) {
-  ctx.step = Step::kClearing;
+  set_step(ctx, Step::kClearing);
   auto clear = pool_message<AClearCommand>();
   clear->imsi = ctx.imsi;
   clear->call_ref = ctx.call_ref;
@@ -281,6 +285,7 @@ bool MscBase::handle_handover(const Envelope& env) {
     net().spans().open(SpanKind::kHandoff, req->imsi.value(), name(), now());
     ++net().metrics().counter(name() + "/handoffs_started");
     ctx->handover_target = req->target_cell;
+    ctx->remote_msc = target->id();
     auto prep = pool_message<MapPrepareHandover>();
     prep->imsi = req->imsi;
     prep->call_ref = req->call_ref;
@@ -332,6 +337,24 @@ bool MscBase::handle_handover(const Envelope& env) {
     return true;
   }
 
+  // Target: the anchor abandoned the attempt (its handoff guard expired).
+  // A reservation the MS never took up is released; a context the MS
+  // already moved onto keeps serving.
+  if (const auto* abort = msg_cast<MapUAbort>(&msg)) {
+    MsContext* ctx = context(abort->imsi);
+    if (ctx == nullptr || !ctx->handed_in || ctx->arrived ||
+        ctx->remote_msc != env.from) {
+      return true;
+    }
+    auto clear = pool_message<AClearCommand>();
+    clear->imsi = abort->imsi;
+    clear->call_ref = abort->call_ref;
+    send(ctx->bsc, std::move(clear));
+    call_index_.erase(ctx->call_ref);
+    contexts_.erase(abort->imsi);
+    return true;
+  }
+
   // Target: its BSC reserved (or failed to reserve) a channel.
   if (const auto* ack = msg_cast<AHandoverRequestAck>(&msg)) {
     MsContext* ctx = context(ack->imsi);
@@ -378,6 +401,7 @@ bool MscBase::handle_handover(const Envelope& env) {
   if (const auto* done = msg_cast<AHandoverComplete>(&msg)) {
     MsContext* ctx = context(done->imsi);
     if (ctx == nullptr || !ctx->handed_in) return false;
+    ctx->arrived = true;
     auto end = pool_message<MapSendEndSignal>();
     end->imsi = done->imsi;
     end->call_ref = done->call_ref;
@@ -425,13 +449,13 @@ bool MscBase::handle_map_message(const Envelope& env) {
         rej->cause = 6;
         send(ctx->bsc, std::move(rej));
         ctx->proc = Proc::kNone;
-        ctx->step = Step::kNone;
+        set_step(*ctx, Step::kNone);
       }
       return true;
     }
     ctx->triplet = ack->triplets.front();
     ctx->has_triplet = true;
-    ctx->step = Step::kAuthChallenge;
+    set_step(*ctx, Step::kAuthChallenge);
     auto chal = pool_message<AAuthRequest>();
     chal->imsi = ctx->imsi;
     chal->rand = ctx->triplet.rand;
@@ -449,7 +473,7 @@ bool MscBase::handle_map_message(const Envelope& env) {
     }
     ctx->tmsi = ack->new_tmsi;
     ctx->msisdn = ack->msisdn;
-    ctx->step = Step::kSubstrate;
+    set_step(*ctx, Step::kSubstrate);
     on_registration_substrate(*ctx);
     return true;
   }
@@ -468,7 +492,7 @@ bool MscBase::handle_map_message(const Envelope& env) {
         disarm_procedure_guard(*ctx);
         call_index_.erase(ctx->call_ref);
         ctx->proc = Proc::kNone;
-        ctx->step = Step::kNone;
+        set_step(*ctx, Step::kNone);
         ctx->call_ref = CallRef{};
         auto rej = pool_message<ACmServiceReject>();
         rej->imsi = ctx->imsi;
@@ -489,7 +513,7 @@ bool MscBase::handle_map_message(const Envelope& env) {
     assign->imsi = ctx->imsi;
     assign->call_ref = ctx->call_ref;
     send(ctx->bsc, std::move(assign));
-    ctx->step = Step::kMoProgress;
+    set_step(*ctx, Step::kMoProgress);
     route_mo_call(*ctx);
     return true;
   }
@@ -520,7 +544,7 @@ void MscBase::abort_procedure(MsContext& ctx) {
     call_index_.erase(ctx.call_ref);
     MsContext snapshot = ctx;
     ctx.proc = Proc::kNone;
-    ctx.step = Step::kNone;
+    set_step(ctx, Step::kNone);
     ctx.call_ref = CallRef{};
     ctx.handed_off = false;
     on_call_cleared(snapshot);
@@ -532,7 +556,7 @@ void MscBase::abort_procedure(MsContext& ctx) {
   }
   if (ctx.proc == Proc::kRegister) {
     ctx.proc = Proc::kNone;
-    ctx.step = Step::kNone;
+    set_step(ctx, Step::kNone);
     return;
   }
   on_call_aborted(ctx);
@@ -562,6 +586,11 @@ void MscBase::on_timer(TimerId id, std::uint64_t cookie) {
                         SpanOutcome::kTimeout, now());
     ++net().metrics().counter(name() + "/handoffs_failed");
     ctx->handover_target = CellId{};
+    // Tell the target, which may hold a channel for the MS (MAP U-ABORT).
+    auto abort = pool_message<MapUAbort>();
+    abort->imsi = imsi;
+    abort->call_ref = ctx->call_ref;
+    send(ctx->remote_msc, std::move(abort));
   }
 }
 
@@ -630,12 +659,12 @@ void MscBase::handle_a_message(const Envelope& env) {
         rej->cause = 6;
         send(ctx->bsc, std::move(rej));
         ctx->proc = Proc::kNone;
-        ctx->step = Step::kNone;
+        set_step(*ctx, Step::kNone);
       }
       return;
     }
     if (config_.ciphering) {
-      ctx->step = Step::kCipher;
+      set_step(*ctx, Step::kCipher);
       auto cmd = pool_message<ACipherModeCommand>();
       cmd->imsi = ctx->imsi;
       cmd->algorithm = 1;
@@ -690,20 +719,11 @@ void MscBase::handle_a_message(const Envelope& env) {
     ctx->calling = setup->calling;
     ctx->called = setup->called;
     call_index_[setup->call_ref] = setup->imsi;
-    ctx->step = Step::kAuthorize;
+    set_step(*ctx, Step::kAuthorize);
     auto q = pool_message<MapSendInfoForOutgoingCall>();
     q->imsi = setup->imsi;
     q->called = setup->called;
-    send(vlr(), std::move(q));
-    arm_request(RetxKind::kMapOutCall, setup->imsi,
-                [this, imsi = setup->imsi] {
-                  MsContext* c = context(imsi);
-                  if (c == nullptr || c->step != Step::kAuthorize) return;
-                  auto again = pool_message<MapSendInfoForOutgoingCall>();
-                  again->imsi = imsi;
-                  again->called = c->called;
-                  send(vlr(), std::move(again));
-                });
+    send_vlr_request(RetxKind::kMapOutCall, setup->imsi, std::move(q));
     return;
   }
 
@@ -726,7 +746,7 @@ void MscBase::handle_a_message(const Envelope& env) {
         ctx->step != Step::kAwaitAlert) {
       return;
     }
-    ctx->step = Step::kAwaitAnswer;
+    set_step(*ctx, Step::kAwaitAnswer);
     on_mt_alerting(*ctx);
     return;
   }
@@ -745,7 +765,7 @@ void MscBase::handle_a_message(const Envelope& env) {
     net().spans().close(SpanKind::kTermination, ctx->imsi.value(),
                         SpanOutcome::kOk, now());
     ++net().metrics().counter(name() + "/mt_calls_connected");
-    ctx->step = Step::kActive;
+    set_step(*ctx, Step::kActive);
     on_mt_connected(*ctx);
     return;
   }
@@ -779,7 +799,7 @@ void MscBase::handle_a_message(const Envelope& env) {
                           SpanOutcome::kRejected, now());
     }
     arm_procedure_guard(*ctx);
-    ctx->step = Step::kReleasingMs;
+    set_step(*ctx, Step::kReleasingMs);
     on_ms_disconnect(*ctx, disc->cause);
     return;
   }
@@ -812,7 +832,7 @@ void MscBase::handle_a_message(const Envelope& env) {
     call_index_.erase(ctx->call_ref);
     MsContext snapshot = *ctx;
     ctx->proc = Proc::kNone;
-    ctx->step = Step::kNone;
+    set_step(*ctx, Step::kNone);
     ctx->call_ref = CallRef{};
     ctx->handed_off = false;
     on_call_cleared(snapshot);

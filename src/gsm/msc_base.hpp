@@ -40,10 +40,6 @@ class MscBase : public Node {
     /// not taken over (MAP_Send_End_Signal) by then, the attempt is
     /// abandoned and the call stays on the serving cell.
     SimDuration handoff_guard = SimDuration::seconds(30);
-    /// Backoff for MAP / GPRS / RAS request retransmission (see
-    /// Retransmitter).  Exhausts well inside procedure_guard so a dead peer
-    /// aborts the procedure before the guard has to.
-    Retransmitter::Policy retransmit{};
   };
 
   /// Procedure currently owning the context.
@@ -96,16 +92,15 @@ class MscBase : public Node {
 
     // Inter-system handoff.
     bool handed_off = false;  // anchor: MS now served by remote_msc
-    bool handed_in = false;   // target: MS arrived from remote_msc (anchor)
+    bool handed_in = false;   // target: MS handed in from remote_msc (anchor)
+    bool arrived = false;     // target: the MS completed the move
     NodeId remote_msc;
     CellId handover_target;
     TimerId handoff_guard = 0;  // anchor: supervises the attempt in flight
   };
 
   MscBase(std::string name, Config config)
-      : Node(std::move(name)), config_(std::move(config)) {
-    retx_.set_policy(config_.retransmit);
-  }
+      : Node(std::move(name)), config_(std::move(config)) {}
 
   /// Declares that `cell` is served by this MSC via `bsc_name` (used when
   /// this MSC is the handoff target).
@@ -226,10 +221,6 @@ class MscBase : public Node {
   [[nodiscard]] static std::uint64_t retx_key(RetxKind kind, Imsi imsi) {
     return (static_cast<std::uint64_t>(kind) << 56) | imsi.value();
   }
-  /// Arms `resend` under (kind, imsi) with the standard give-up: abort the
-  /// subscriber's current procedure (the peer stayed silent through every
-  /// backoff step — same outcome as the guard, reached much sooner).
-  void arm_request(RetxKind kind, Imsi imsi, std::function<void()> resend);
   /// Cancels every pending request for `imsi` (all kinds).  Called whenever
   /// a procedure is torn down through another path, so a stale give-up
   /// cannot fire into a later, unrelated procedure.
@@ -237,6 +228,16 @@ class MscBase : public Node {
   [[nodiscard]] Retransmitter& retx() { return retx_; }
 
  private:
+  /// Sends a MAP request to the VLR under (kind, imsi) with the standard
+  /// give-up: abort the subscriber's current procedure (the VLR stayed
+  /// silent through every backoff step — same outcome as the guard,
+  /// reached much sooner).
+  void send_vlr_request(RetxKind kind, Imsi imsi, MessagePtr request);
+  /// Moves `ctx` to `step`.  The requests sent in a step serve that step,
+  /// so leaving it ends their exchanges: the MAP requests of kAuthInfo,
+  /// kUla and kAuthorize, and the Vmsc's admission request and Setup of
+  /// kMoProgress.
+  void set_step(MsContext& ctx, Step step);
   void remove_subscriber(Imsi imsi);
   void arm_procedure_guard(MsContext& ctx);
   void disarm_procedure_guard(MsContext& ctx) { cancel_timer(ctx.guard); }

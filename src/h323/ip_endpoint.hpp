@@ -25,6 +25,8 @@ class IpEndpoint : public Node {
  protected:
   /// Encapsulates `inner` into an IP datagram and sends it via the router.
   void send_ip(IpAddress dst, const Message& inner);
+  /// The first hop of every datagram this endpoint sends.
+  [[nodiscard]] NodeId router() const;
 
   /// A datagram addressed to us arrived; `inner` is its decoded payload.
   virtual void on_ip(const IpDatagramInfo& dgram, const Message& inner) = 0;
@@ -33,8 +35,6 @@ class IpEndpoint : public Node {
   virtual void on_other(const Envelope& env);
 
  private:
-  [[nodiscard]] NodeId router() const;
-
   IpAddress ip_;
   std::string router_name_;
 };

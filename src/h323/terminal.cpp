@@ -12,6 +12,14 @@ constexpr std::uint64_t kVoiceKind = 3;
 void H323Terminal::enter(State s) {
   state_ = s;
   cancel_timer(timer_);
+  retx_.reset();
+}
+
+void H323Terminal::send_request(RetxKind kind, IpAddress dst,
+                                const Message& inner,
+                                std::function<void()> give_up) {
+  retx_.send(retx_key(kind), router(), make_ip_datagram(ip(), dst, inner),
+             std::move(give_up));
 }
 
 void H323Terminal::register_endpoint() {
@@ -22,24 +30,13 @@ void H323Terminal::register_endpoint() {
   auto rrq = pool_message<RasRrq>();
   rrq->call_signal_address = TransportAddress(ip(), config_.signal_port);
   rrq->alias = config_.alias;
-  send_ip(config_.gk_ip, *rrq);
-  retx_.arm(
-      retx_key(RetxKind::kRrq),
-      [this] {
-        if (state_ != State::kRegistering) return;
-        auto again = pool_message<RasRrq>();
-        again->call_signal_address =
-            TransportAddress(ip(), config_.signal_port);
-        again->alias = config_.alias;
-        send_ip(config_.gk_ip, *again);
-      },
-      [this] {
-        if (state_ != State::kRegistering) return;
-        net().spans().close(SpanKind::kRegistration, config_.alias.value(),
-                            SpanOutcome::kTimeout, now());
-        enter(State::kIdle);
-        if (on_failure) on_failure("registration timed out");
-      });
+  send_request(RetxKind::kRrq, config_.gk_ip, *rrq, [this] {
+    if (state_ != State::kRegistering) return;
+    net().spans().close(SpanKind::kRegistration, config_.alias.value(),
+                        SpanOutcome::kTimeout, now());
+    enter(State::kIdle);
+    if (on_failure) on_failure("registration timed out");
+  });
 }
 
 void H323Terminal::place_call(Msisdn called) {
@@ -56,26 +53,14 @@ void H323Terminal::place_call(Msisdn called) {
   arq->call_ref = call_ref_;
   arq->calling = config_.alias;
   arq->called = called;
-  send_ip(config_.gk_ip, *arq);
-  retx_.arm(
-      retx_key(RetxKind::kArq),
-      [this, called] {
-        if (state_ != State::kArqSent) return;
-        auto again = pool_message<RasArq>();
-        again->endpoint_id = endpoint_id_;
-        again->call_ref = call_ref_;
-        again->calling = config_.alias;
-        again->called = called;
-        send_ip(config_.gk_ip, *again);
-      },
-      [this] {
-        if (state_ != State::kArqSent) return;
-        net().spans().close(SpanKind::kOrigination, call_ref_.value(),
-                            SpanOutcome::kTimeout, now());
-        enter(State::kRegistered);
-        if (on_failure) on_failure("admission timed out");
-        if (on_released) on_released(call_ref_);
-      });
+  send_request(RetxKind::kArq, config_.gk_ip, *arq, [this] {
+    if (state_ != State::kArqSent) return;
+    net().spans().close(SpanKind::kOrigination, call_ref_.value(),
+                        SpanOutcome::kTimeout, now());
+    enter(State::kRegistered);
+    if (on_failure) on_failure("admission timed out");
+    if (on_released) on_released(call_ref_);
+  });
 }
 
 void H323Terminal::answer() {
@@ -106,9 +91,6 @@ void H323Terminal::hangup() {
 }
 
 void H323Terminal::release_local(CallRef call_ref) {
-  // Whatever request was outstanding for this call is moot now.
-  retx_.ack(retx_key(RetxKind::kArq));
-  retx_.ack(retx_key(RetxKind::kSetup));
   if (config_.disengage_on_release && endpoint_id_ != 0) {
     auto drq = pool_message<RasDrq>();
     drq->endpoint_id = endpoint_id_;
@@ -187,27 +169,12 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
       setup->src_signal_address =
           TransportAddress(ip(), config_.signal_port);
       setup->media_address = TransportAddress(ip(), config_.media_port);
-      send_ip(remote_signal_, *setup);
-      retx_.arm(
-          retx_key(RetxKind::kSetup),
-          [this] {
-            if (state_ != State::kCalling) return;
-            auto again = pool_message<Q931Setup>();
-            again->call_ref = call_ref_;
-            again->calling = config_.alias;
-            again->called = peer_number_;
-            again->src_signal_address =
-                TransportAddress(ip(), config_.signal_port);
-            again->media_address =
-                TransportAddress(ip(), config_.media_port);
-            send_ip(remote_signal_, *again);
-          },
-          [this] {
-            if (state_ != State::kCalling) return;
-            net().spans().close(SpanKind::kOrigination, call_ref_.value(),
-                                SpanOutcome::kTimeout, now());
-            release_local(call_ref_);
-          });
+      send_request(RetxKind::kSetup, remote_signal_, *setup, [this] {
+        if (state_ != State::kCalling) return;
+        net().spans().close(SpanKind::kOrigination, call_ref_.value(),
+                            SpanOutcome::kTimeout, now());
+        release_local(call_ref_);
+      });
       return;
     }
     if (state_ == State::kIncomingArq && acf->call_ref == call_ref_) {
@@ -290,30 +257,17 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     arq->calling = setup->calling;
     arq->called = config_.alias;
     arq->answer_call = true;
-    send_ip(config_.gk_ip, *arq);
-    retx_.arm(
-        retx_key(RetxKind::kArq),
-        [this] {
-          if (state_ != State::kIncomingArq) return;
-          auto again = pool_message<RasArq>();
-          again->endpoint_id = endpoint_id_;
-          again->call_ref = call_ref_;
-          again->calling = peer_number_;
-          again->called = config_.alias;
-          again->answer_call = true;
-          send_ip(config_.gk_ip, *again);
-        },
-        [this] {
-          if (state_ != State::kIncomingArq) return;
-          // No admission decision: clear the incoming leg toward the
-          // caller and return to service.
-          auto rel = pool_message<Q931ReleaseComplete>();
-          rel->call_ref = call_ref_;
-          rel->cause = 47;  // resource unavailable
-          send_ip(remote_signal_, *rel);
-          enter(State::kRegistered);
-          if (on_released) on_released(call_ref_);
-        });
+    send_request(RetxKind::kArq, config_.gk_ip, *arq, [this] {
+      if (state_ != State::kIncomingArq) return;
+      // No admission decision: clear the incoming leg toward the caller and
+      // return to service.
+      auto rel = pool_message<Q931ReleaseComplete>();
+      rel->call_ref = call_ref_;
+      rel->cause = 47;  // resource unavailable
+      send_ip(remote_signal_, *rel);
+      enter(State::kRegistered);
+      if (on_released) on_released(call_ref_);
+    });
     return;
   }
   // Call Proceeding (Fig. 6 step 2.4) and Alerting confirm our Setup:

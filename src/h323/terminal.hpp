@@ -85,7 +85,13 @@ class H323Terminal : public IpEndpoint {
     return static_cast<std::uint64_t>(kind);
   }
 
+  /// Cancels the state's timer and ends every pending exchange: each one
+  /// served the state that sent its request.
   void enter(State s);
+  /// Sends `inner` to `dst` as a request under `kind`; the Retransmitter
+  /// re-sends that datagram until an answer or enter() ends the exchange.
+  void send_request(RetxKind kind, IpAddress dst, const Message& inner,
+                    std::function<void()> give_up);
   void send_voice_frame();
   void release_local(CallRef call_ref);
 

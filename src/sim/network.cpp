@@ -21,6 +21,39 @@ namespace {
 constexpr std::int64_t kNeverMicros = std::numeric_limits<std::int64_t>::max();
 constexpr SimTime kNever = SimTime::from_micros(kNeverMicros);
 
+// Hands `sink` every element of `runs` in DispatchKey order, then empties
+// the runs.  Each run is one shard's buffer and already in key order (a
+// shard dispatches in key order, and `sub` rises within a dispatch), so a
+// k-way merge over the run heads replaces a sort of their concatenation.
+template <typename T, typename Sink>
+void merge_runs(const std::vector<std::vector<T>*>& runs, Sink&& sink) {
+  struct Head {
+    std::vector<T>* run;
+    std::size_t pos;
+  };
+  // The std heap is a max-heap: ordering by "later" keeps the earliest
+  // head on top.
+  auto later = [](const Head& a, const Head& b) {
+    return (*b.run)[b.pos].key < (*a.run)[a.pos].key;
+  };
+  std::vector<Head> heads;
+  for (std::vector<T>* run : runs) {
+    if (!run->empty()) heads.push_back({run, 0});
+  }
+  std::make_heap(heads.begin(), heads.end(), later);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    Head& h = heads.back();
+    sink(std::move((*h.run)[h.pos]));
+    if (++h.pos < h.run->size()) {
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
+    }
+  }
+  for (std::vector<T>* run : runs) run->clear();
+}
+
 // The ONE synchronization point per window of the sharded run loop: a
 // sense-reversing barrier over a fixed party of every worker.  The last
 // arriver runs `completion` (the window advance) before releasing the
@@ -716,27 +749,16 @@ void Network::commit_outboxes(Shard& sh) {
 }
 
 void Network::merge_shard_buffers() {
-  // Each shard's records are in its own dispatch order; the key sort
-  // interleaves them into the order the sequential engine records in.
-  const std::size_t first = trace_.size();
-  for (auto& sh : shards_) trace_.append(sh->trace_buf);
-  trace_.sort_from(first);
-
-  std::size_t total = 0;
-  for (auto& sh : shards_) total += sh->span_ops.size();
-  if (total != 0) {
-    std::vector<SpanTracker::Op> ops;
-    ops.reserve(total);
-    for (auto& sh : shards_) {
-      for (SpanTracker::Op& op : sh->span_ops) ops.push_back(std::move(op));
-      sh->span_ops.clear();
-    }
-    std::sort(ops.begin(), ops.end(),
-              [](const SpanTracker::Op& a, const SpanTracker::Op& b) {
-                return a.key < b.key;
-              });
-    for (const SpanTracker::Op& op : ops) spans_.apply(op);
+  // Interleave the shards' records and span operations into the order the
+  // sequential engine records and applies them in.
+  std::vector<std::vector<TraceRecord>*> records;
+  std::vector<std::vector<SpanTracker::Op>*> ops;
+  for (auto& sh : shards_) {
+    records.push_back(&sh->trace_buf);
+    ops.push_back(&sh->span_ops);
   }
+  merge_runs(records, [this](TraceRecord&& r) { trace_.record(std::move(r)); });
+  merge_runs(ops, [this](SpanTracker::Op&& op) { spans_.apply(op); });
 
   for (auto& sh : shards_) {
     metrics_.fold_from(sh->metrics);

@@ -1,22 +1,27 @@
 #include "sim/retransmit.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/network.hpp"
 
 namespace vgprs {
 
-void Retransmitter::arm(std::uint64_t key, std::function<void()> resend,
-                        std::function<void()> give_up) {
+void Retransmitter::send(std::uint64_t key, NodeId to, MessagePtr request,
+                         std::function<void()> give_up) {
   if (auto it = entries_.find(key); it != entries_.end()) {
     owner_.net().cancel_timer(it->second.timer);
     entries_.erase(it);
   }
+  // The request goes out before its timer is armed: the order fixes the
+  // events' sequence numbers, which traces and goldens depend on.
+  owner_.net().send(owner_.id(), to, request);
   Entry entry;
-  entry.resend = std::move(resend);
+  entry.to = to;
+  entry.request = std::move(request);
   entry.give_up = std::move(give_up);
-  entry.interval = policy_.initial;
-  entry.remaining = policy_.max_retries;
+  entry.interval = kInitial;
+  entry.remaining = kMaxRetries;
   entry.timer = owner_.net().set_timer(owner_.id(), entry.interval, key);
   entries_.emplace(key, std::move(entry));
 }
@@ -34,7 +39,7 @@ bool Retransmitter::on_timer(TimerId id, std::uint64_t key) {
   if (it == entries_.end() || it->second.timer != id) return false;
   Entry& entry = it->second;
   if (entry.remaining <= 0) {
-    // Exhausted: run give_up outside the map in case it re-arms this key.
+    // Exhausted: run give_up outside the map in case it sends under this key.
     std::function<void()> give_up = std::move(entry.give_up);
     entries_.erase(it);
     ++give_ups_;
@@ -43,17 +48,12 @@ bool Retransmitter::on_timer(TimerId id, std::uint64_t key) {
     return true;
   }
   --entry.remaining;
-  entry.interval = entry.interval * policy_.multiplier;
-  if (entry.interval > policy_.max_interval) {
-    entry.interval = policy_.max_interval;
-  }
+  entry.interval = std::min(entry.interval * 2, kMaxInterval);
   ++retransmits_;
   ++owner_.net().metrics().counter("recovery/retransmits");
-  // Resend may (in pathological states) ack or re-arm this key; schedule
-  // the next copy first so the entry is consistent when it runs.
+  // The next step's timer is armed before the copy goes out (see send()).
   entry.timer = owner_.net().set_timer(owner_.id(), entry.interval, key);
-  std::function<void()> resend = entry.resend;
-  if (resend) resend();
+  owner_.net().send(owner_.id(), entry.to, entry.request);
   return true;
 }
 

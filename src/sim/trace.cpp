@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <sstream>
 
 namespace vgprs {
@@ -11,19 +10,6 @@ void TraceRecorder::set_mode(TraceMode mode) {
   mode_ = mode;
   records_.clear();
   records_.shrink_to_fit();
-}
-
-void TraceRecorder::append(std::vector<TraceRecord>& buf) {
-  records_.insert(records_.end(), std::make_move_iterator(buf.begin()),
-                  std::make_move_iterator(buf.end()));
-  buf.clear();
-}
-
-void TraceRecorder::sort_from(std::size_t first) {
-  std::sort(records_.begin() + static_cast<std::ptrdiff_t>(first),
-            records_.end(), [](const TraceRecord& a, const TraceRecord& b) {
-              return a.key < b.key;
-            });
 }
 
 TraceEntry TraceRecorder::entry(const TraceRecord& r) const {

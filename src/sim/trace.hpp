@@ -97,14 +97,9 @@ class TraceRecorder {
   /// True when the Network records deliveries.
   [[nodiscard]] bool enabled() const { return mode_ != TraceMode::kDisabled; }
 
-  /// Appends `r`; the Network records only while enabled().
+  /// Appends `r`; the Network records only while enabled(), and a sharded
+  /// run merges its per-shard buffers in here in DispatchKey order.
   void record(TraceRecord r) { records_.push_back(std::move(r)); }
-  /// Moves `buf`'s records to the end of the trace and empties it.
-  void append(std::vector<TraceRecord>& buf);
-  /// Sorts the records from index `first` on by DispatchKey.  Keys are
-  /// unique, so this restores the one order the sequential engine records
-  /// in (the sharded engine's merge of its per-shard buffers).
-  void sort_from(std::size_t first);
   /// Drops every record and releases the messages they hold.
   void clear() { records_.clear(); }
 

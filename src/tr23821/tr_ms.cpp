@@ -40,6 +40,7 @@ const Imsi* gprs_imsi(const Message& msg) {
 void TrMobileStation::enter(State s) {
   state_ = s;
   cancel_timer(timer_);
+  retx_.reset();
 }
 
 NodeId TrMobileStation::sgsn() const {
@@ -48,12 +49,21 @@ NodeId TrMobileStation::sgsn() const {
   return n->id();
 }
 
-void TrMobileStation::send_tunneled(IpAddress dst, const Message& inner) {
-  auto dgram = make_ip_datagram(pdp_address_, dst, inner);
+MessagePtr TrMobileStation::tunneled(IpAddress dst,
+                                     const Message& inner) const {
   auto frame = pool_message<GbUnitData>();
   frame->imsi = config_.imsi;
-  frame->payload = dgram->encode();
-  send(sgsn(), std::move(frame));
+  frame->payload = make_ip_datagram(pdp_address_, dst, inner)->encode();
+  return frame;
+}
+
+void TrMobileStation::send_tunneled(IpAddress dst, const Message& inner) {
+  send(sgsn(), tunneled(dst, inner));
+}
+
+void TrMobileStation::send_request(RetxKind kind, MessagePtr request,
+                                   std::function<void()> give_up) {
+  retx_.send(retx_key(kind), sgsn(), std::move(request), std::move(give_up));
 }
 
 void TrMobileStation::activate_pdp() {
@@ -65,23 +75,8 @@ void TrMobileStation::activate_pdp() {
   req->nsapi = Nsapi(5);
   req->qos = QosProfile{QosClass::kConversational, 13, 1};
   req->requested_address = config_.static_pdp_address;
-  send(sgsn(), std::move(req));
-  retx_.arm(
-      retx_key(RetxKind::kPdpActivate),
-      [this] {
-        // Re-emit without re-arming (arm() would restart the backoff).
-        if (pdp_active_ || (state_ != State::kActivatingInitial &&
-                            state_ != State::kActivatingForCall)) {
-          return;
-        }
-        auto again = pool_message<ActivatePdpContextRequest>();
-        again->imsi = config_.imsi;
-        again->nsapi = Nsapi(5);
-        again->qos = QosProfile{QosClass::kConversational, 13, 1};
-        again->requested_address = config_.static_pdp_address;
-        send(sgsn(), std::move(again));
-      },
-      [this] { give_up_pdp_activation(); });
+  send_request(RetxKind::kPdpActivate, std::move(req),
+               [this] { give_up_pdp_activation(); });
 }
 
 void TrMobileStation::give_up_pdp_activation() {
@@ -113,31 +108,18 @@ void TrMobileStation::deactivate_pdp(State next) {
   auto req = pool_message<DeactivatePdpContextRequest>();
   req->imsi = config_.imsi;
   req->nsapi = Nsapi(5);
-  send(sgsn(), std::move(req));
-  retx_.arm(
-      retx_key(RetxKind::kPdpDeactivate),
-      [this] {
-        if (state_ != State::kDeactivatingIdle &&
-            state_ != State::kDeactivatingAfterCall) {
-          return;
-        }
-        auto again = pool_message<DeactivatePdpContextRequest>();
-        again->imsi = config_.imsi;
-        again->nsapi = Nsapi(5);
-        send(sgsn(), std::move(again));
-      },
-      [this] {
-        if (state_ != State::kDeactivatingIdle &&
-            state_ != State::kDeactivatingAfterCall) {
-          return;
-        }
-        // SGSN never confirmed: drop the context locally and move on.
-        net().spans().close(SpanKind::kPdpDeactivation, config_.imsi.value(),
-                            SpanOutcome::kTimeout, now());
-        pdp_active_ = false;
-        pdp_address_ = IpAddress{};
-        enter(State::kIdle);
-      });
+  send_request(RetxKind::kPdpDeactivate, std::move(req), [this] {
+    if (state_ != State::kDeactivatingIdle &&
+        state_ != State::kDeactivatingAfterCall) {
+      return;
+    }
+    // SGSN never confirmed: drop the context locally and move on.
+    net().spans().close(SpanKind::kPdpDeactivation, config_.imsi.value(),
+                        SpanOutcome::kTimeout, now());
+    pdp_active_ = false;
+    pdp_address_ = IpAddress{};
+    enter(State::kIdle);
+  });
 }
 
 void TrMobileStation::power_on() {
@@ -149,22 +131,13 @@ void TrMobileStation::power_on() {
                      now());
   auto attach = pool_message<GprsAttachRequest>();
   attach->imsi = config_.imsi;
-  send(sgsn(), std::move(attach));
-  retx_.arm(
-      retx_key(RetxKind::kAttach),
-      [this] {
-        if (state_ != State::kAttaching) return;
-        auto again = pool_message<GprsAttachRequest>();
-        again->imsi = config_.imsi;
-        send(sgsn(), std::move(again));
-      },
-      [this] {
-        if (state_ != State::kAttaching) return;
-        net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
-                            SpanOutcome::kTimeout, now());
-        enter(State::kDetached);
-        if (on_failure) on_failure("GPRS attach timed out");
-      });
+  send_request(RetxKind::kAttach, std::move(attach), [this] {
+    if (state_ != State::kAttaching) return;
+    net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
+                        SpanOutcome::kTimeout, now());
+    enter(State::kDetached);
+    if (on_failure) on_failure("GPRS attach timed out");
+  });
 }
 
 void TrMobileStation::dial(Msisdn called) {
@@ -194,24 +167,11 @@ void TrMobileStation::send_arq() {
   arq->call_ref = call_ref_;
   arq->calling = config_.msisdn;
   arq->called = peer_number_;
-  send_tunneled(config_.gk_ip, *arq);
-  retx_.arm(
-      retx_key(RetxKind::kArq),
-      [this] {
-        // Re-emit without re-arming (arm() would restart the backoff).
-        if (state_ != State::kArqSent) return;
-        auto again = pool_message<RasArq>();
-        again->endpoint_id = endpoint_id_;
-        again->call_ref = call_ref_;
-        again->calling = config_.msisdn;
-        again->called = peer_number_;
-        send_tunneled(config_.gk_ip, *again);
-      },
-      [this] {
-        if (state_ != State::kArqSent) return;
-        if (on_failure) on_failure("admission timed out");
-        release_call(false, 102);
-      });
+  send_request(RetxKind::kArq, tunneled(config_.gk_ip, *arq), [this] {
+    if (state_ != State::kArqSent) return;
+    if (on_failure) on_failure("admission timed out");
+    release_call(false, 102);
+  });
 }
 
 void TrMobileStation::answer() {
@@ -236,9 +196,6 @@ void TrMobileStation::hangup() {
 }
 
 void TrMobileStation::release_call(bool notify_far_end, std::uint8_t cause) {
-  // Whatever call-scoped request was outstanding is moot now.
-  retx_.ack(retx_key(RetxKind::kArq));
-  retx_.ack(retx_key(RetxKind::kSetup));
   if (state_ == State::kArqSent || state_ == State::kCalling ||
       state_ == State::kRingback) {
     // Our own setup ended before the far end answered.
@@ -255,27 +212,12 @@ void TrMobileStation::release_call(bool notify_far_end, std::uint8_t cause) {
     rel->cause = cause;
     send_tunneled(remote_signal_, *rel);
   }
+  // The DRQ serves the state entered here (kAwaitDcf, or kIdle without the
+  // idle-deactivation policy), so it is built now and sent after enter().
   auto drq = pool_message<RasDrq>();
   drq->endpoint_id = endpoint_id_;
   drq->call_ref = call_ref_;
-  send_tunneled(config_.gk_ip, *drq);
-  CallRef drq_ref = call_ref_;
-  retx_.arm(
-      retx_key(RetxKind::kDrq),
-      [this, drq_ref] {
-        if (!pdp_active_) return;
-        auto again = pool_message<RasDrq>();
-        again->endpoint_id = endpoint_id_;
-        again->call_ref = drq_ref;
-        send_tunneled(config_.gk_ip, *again);
-      },
-      [this] {
-        // GK never confirmed the disengage: run the deferred teardown
-        // anyway so the handset is not parked in kAwaitDcf forever.
-        if (state_ == State::kAwaitDcf) {
-          deactivate_pdp(State::kDeactivatingAfterCall);
-        }
-      });
+  MessagePtr drq_frame = tunneled(config_.gk_ip, *drq);
   remote_signal_ = IpAddress{};
   remote_media_ = IpAddress{};
   CallRef released = call_ref_;
@@ -287,6 +229,13 @@ void TrMobileStation::release_call(bool notify_far_end, std::uint8_t cause) {
   } else {
     enter(State::kIdle);
   }
+  send_request(RetxKind::kDrq, std::move(drq_frame), [this] {
+    // GK never confirmed the disengage: run the deferred teardown anyway so
+    // the handset is not parked in kAwaitDcf forever.
+    if (state_ == State::kAwaitDcf) {
+      deactivate_pdp(State::kDeactivatingAfterCall);
+    }
+  });
   if (on_released) on_released(released);
 }
 
@@ -372,28 +321,17 @@ void TrMobileStation::on_message(const Envelope& env) {
       rrq->call_signal_address =
           TransportAddress(pdp_address_, config_.signal_port);
       rrq->alias = config_.msisdn;
-      send_tunneled(config_.gk_ip, *rrq);
-      retx_.arm(
-          retx_key(RetxKind::kRrq),
-          [this] {
-            if (state_ != State::kRasRegistering) return;
-            auto again = pool_message<RasRrq>();
-            again->call_signal_address =
-                TransportAddress(pdp_address_, config_.signal_port);
-            again->alias = config_.msisdn;
-            send_tunneled(config_.gk_ip, *again);
-          },
-          [this] {
-            if (state_ != State::kRasRegistering) return;
-            net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
-                                SpanOutcome::kTimeout, now());
-            if (on_failure) on_failure("RAS registration timed out");
-            if (config_.deactivate_pdp_when_idle) {
-              deactivate_pdp(State::kDeactivatingIdle);
-            } else {
-              enter(State::kIdle);
-            }
-          });
+      send_request(RetxKind::kRrq, tunneled(config_.gk_ip, *rrq), [this] {
+        if (state_ != State::kRasRegistering) return;
+        net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
+                            SpanOutcome::kTimeout, now());
+        if (on_failure) on_failure("RAS registration timed out");
+        if (config_.deactivate_pdp_when_idle) {
+          deactivate_pdp(State::kDeactivatingIdle);
+        } else {
+          enter(State::kIdle);
+        }
+      });
       return;
     }
     if (state_ == State::kActivatingForCall) {
@@ -465,21 +403,8 @@ void TrMobileStation::on_message(const Envelope& env) {
     act->nsapi = req->nsapi;
     act->qos = QosProfile{QosClass::kConversational, 13, 1};
     act->requested_address = req->address;
-    send(sgsn(), std::move(act));
-    Nsapi page_nsapi = req->nsapi;
-    IpAddress page_address = req->address;
-    retx_.arm(
-        retx_key(RetxKind::kPdpActivate),
-        [this, page_nsapi, page_address] {
-          if (pdp_active_ || state_ != State::kActivatingForPage) return;
-          auto again = pool_message<ActivatePdpContextRequest>();
-          again->imsi = config_.imsi;
-          again->nsapi = page_nsapi;
-          again->qos = QosProfile{QosClass::kConversational, 13, 1};
-          again->requested_address = page_address;
-          send(sgsn(), std::move(again));
-        },
-        [this] { give_up_pdp_activation(); });
+    send_request(RetxKind::kPdpActivate, std::move(act),
+                 [this] { give_up_pdp_activation(); });
     return;
   }
 
@@ -526,26 +451,11 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
           TransportAddress(pdp_address_, config_.signal_port);
       setup->media_address =
           TransportAddress(pdp_address_, config_.media_port);
-      send_tunneled(remote_signal_, *setup);
-      retx_.arm(
-          retx_key(RetxKind::kSetup),
-          [this] {
-            if (state_ != State::kCalling) return;
-            auto again = pool_message<Q931Setup>();
-            again->call_ref = call_ref_;
-            again->calling = config_.msisdn;
-            again->called = peer_number_;
-            again->src_signal_address =
-                TransportAddress(pdp_address_, config_.signal_port);
-            again->media_address =
-                TransportAddress(pdp_address_, config_.media_port);
-            send_tunneled(remote_signal_, *again);
-          },
-          [this] {
-            if (state_ != State::kCalling) return;
-            if (on_failure) on_failure("Setup timed out");
-            release_call(true, 102);
-          });
+      send_request(RetxKind::kSetup, tunneled(remote_signal_, *setup), [this] {
+        if (state_ != State::kCalling) return;
+        if (on_failure) on_failure("Setup timed out");
+        release_call(true, 102);
+      });
       return;
     }
     if (state_ == State::kIncomingArq && acf->call_ref == call_ref_) {
@@ -623,24 +533,11 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     arq->calling = setup->calling;
     arq->called = config_.msisdn;
     arq->answer_call = true;
-    send_tunneled(config_.gk_ip, *arq);
-    retx_.arm(
-        retx_key(RetxKind::kArq),
-        [this] {
-          if (state_ != State::kIncomingArq) return;
-          auto again = pool_message<RasArq>();
-          again->endpoint_id = endpoint_id_;
-          again->call_ref = call_ref_;
-          again->calling = peer_number_;
-          again->called = config_.msisdn;
-          again->answer_call = true;
-          send_tunneled(config_.gk_ip, *again);
-        },
-        [this] {
-          if (state_ != State::kIncomingArq) return;
-          if (on_failure) on_failure("admission timed out");
-          release_call(true, 102);
-        });
+    send_request(RetxKind::kArq, tunneled(config_.gk_ip, *arq), [this] {
+      if (state_ != State::kIncomingArq) return;
+      if (on_failure) on_failure("admission timed out");
+      release_call(true, 102);
+    });
     return;
   }
   if (msg_cast<Q931CallProceeding>(&inner) != nullptr) {

@@ -105,7 +105,6 @@ class TrMobileStation final : public Node {
   /// Handset restart: everything is volatile; the subscriber has to power
   /// on again before any further service.
   void on_restart() override {
-    retx_.reset();
     enter(State::kDetached);
     attached_ = false;
     pdp_active_ = false;
@@ -131,9 +130,17 @@ class TrMobileStation final : public Node {
   static std::uint64_t retx_key(RetxKind kind) {
     return static_cast<std::uint64_t>(kind);
   }
+  /// Cancels the state's timer and ends every pending exchange: each one
+  /// served the state that sent its request.
   void enter(State s);
   [[nodiscard]] NodeId sgsn() const;
+  /// The Gb frame that carries `inner` from the PDP address to `dst`.
+  [[nodiscard]] MessagePtr tunneled(IpAddress dst, const Message& inner) const;
   void send_tunneled(IpAddress dst, const Message& inner);
+  /// Sends a GPRS request, or a frame tunnelling a RAS / Q.931 request, to
+  /// the SGSN under `kind`; the Retransmitter re-sends that message.
+  void send_request(RetxKind kind, MessagePtr request,
+                    std::function<void()> give_up);
   void activate_pdp();
   void give_up_pdp_activation();
   void deactivate_pdp(State next);

@@ -321,9 +321,10 @@ FsmTable handoff_anchor_table() {
       {"commanded", "MAP_Send_End_Signal", "handed-off",
        {"A_Clear_Command"}},
       // Supervision: the anchor bounds the whole preparation; on expiry
-      // the call simply stays on the serving cell.
-      {"preparing", "handoff_guard", "idle"},
-      {"commanded", "handoff_guard", "idle"},
+      // the call simply stays on the serving cell, and the target is told
+      // to release what it reserved.
+      {"preparing", "handoff_guard", "idle", {"MAP_U_Abort"}},
+      {"commanded", "handoff_guard", "idle", {"MAP_U_Abort"}},
   };
   t.stable = {"idle", "handed-off"};
   t.timers = {
@@ -345,10 +346,14 @@ FsmTable handoff_target_table() {
        {"MAP_Prepare_Handover_ack"}},
       {"awaiting-access", "A_Handover_Complete", "serving",
        {"MAP_Send_End_Signal"}},
+      // The anchor's guard gave up: release the reserved channel.
+      {"reserving", "MAP_U_Abort", "idle", {"A_Clear_Command"}},
+      {"awaiting-access", "MAP_U_Abort", "idle", {"A_Clear_Command"}},
   };
   t.stable = {"idle", "serving"};
   // No timers: the target's reservation is supervised end-to-end by the
-  // anchor's handoff guard (see the verify:allow-* exemptions).
+  // anchor's handoff guard, whose expiry sends the abort (see the
+  // verify:allow-* exemptions).
   return t;
 }
 

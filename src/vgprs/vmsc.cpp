@@ -25,13 +25,51 @@ NodeId Vmsc::sgsn() const {
   return n->id();
 }
 
-void Vmsc::send_tunneled(Imsi imsi, IpAddress src, IpAddress dst,
-                         const Message& inner, SimDuration processing) {
-  auto dgram = make_ip_datagram(src, dst, inner);
+MessagePtr Vmsc::tunneled(Imsi imsi, IpAddress src, IpAddress dst,
+                          const Message& inner) const {
   auto frame = pool_message<GbUnitData>();
   frame->imsi = imsi;
-  frame->payload = dgram->encode();
-  send(sgsn(), std::move(frame), processing);
+  frame->payload = make_ip_datagram(src, dst, inner)->encode();
+  return frame;
+}
+
+void Vmsc::send_tunneled(Imsi imsi, IpAddress src, IpAddress dst,
+                         const Message& inner, SimDuration processing) {
+  send(sgsn(), tunneled(imsi, src, dst, inner), processing);
+}
+
+void Vmsc::send_sgsn_request(RetxKind kind, Imsi imsi, MessagePtr request,
+                             std::function<void()> give_up) {
+  retx().send(retx_key(kind, imsi), sgsn(), std::move(request),
+              std::move(give_up));
+}
+
+void Vmsc::enter_phase(Imsi imsi, VgprsState& vs, VgprsState::Phase phase) {
+  if (vs.phase == VgprsState::Phase::kAttaching) {
+    retx().ack(retx_key(RetxKind::kGprsAttach, imsi));
+  } else if (vs.phase == VgprsState::Phase::kRasRegistering) {
+    retx().ack(retx_key(RetxKind::kRasRrq, imsi));
+  }
+  vs.phase = phase;
+}
+
+void Vmsc::forget(Imsi imsi) {
+  for (RetxKind kind :
+       {RetxKind::kGprsAttach, RetxKind::kRasRrq, RetxKind::kRasArq,
+        RetxKind::kRasDrq, RetxKind::kRasUrq, RetxKind::kQ931Setup}) {
+    retx().ack(retx_key(kind, imsi));
+  }
+  for (RetxKind kind : {RetxKind::kPdpActivateSig, RetxKind::kPdpActivateVoice,
+                        RetxKind::kPdpDeactivateSig,
+                        RetxKind::kPdpDeactivateVoice}) {
+    if (!retx().ack(retx_key(kind, imsi))) continue;
+    const bool activation = kind == RetxKind::kPdpActivateSig ||
+                            kind == RetxKind::kPdpActivateVoice;
+    net().spans().close(
+        activation ? SpanKind::kPdpActivation : SpanKind::kPdpDeactivation,
+        imsi.value(), SpanOutcome::kRejected, now());
+  }
+  vgprs_states_.erase(imsi);
 }
 
 // --- registration substrate (paper steps 1.3-1.5) -----------------------------
@@ -44,28 +82,18 @@ void Vmsc::on_registration_substrate(MsContext& ctx) {
     finish_registration(ctx);
     return;
   }
-  vs.phase = VgprsState::Phase::kAttaching;
+  enter_phase(ctx.imsi, vs, VgprsState::Phase::kAttaching);
   auto attach = pool_message<GprsAttachRequest>();
   attach->imsi = ctx.imsi;
-  send(sgsn(), std::move(attach));
-  retx().arm(
-      retx_key(RetxKind::kGprsAttach, ctx.imsi),
-      [this, imsi = ctx.imsi] {
-        VgprsState* st = vgprs_states_.find(imsi);
-        if (st == nullptr || st->phase != VgprsState::Phase::kAttaching) {
-          return;
-        }
-        auto again = pool_message<GprsAttachRequest>();
-        again->imsi = imsi;
-        send(sgsn(), std::move(again));
-      },
+  send_sgsn_request(
+      RetxKind::kGprsAttach, ctx.imsi, std::move(attach),
       [this, imsi = ctx.imsi] {
         // Giving up on the attach must also clear the vGPRS phase, or the
         // endpoint is wedged in kAttaching and every later registration
         // attempt short-circuits on the stale state.
         if (VgprsState* st = vgprs_states_.find(imsi);
             st != nullptr && st->phase == VgprsState::Phase::kAttaching) {
-          st->phase = VgprsState::Phase::kNone;
+          enter_phase(imsi, *st, VgprsState::Phase::kNone);
         }
         if (MsContext* c = context(imsi)) {
           if (c->step == Step::kSubstrate) reject_registration(*c, 17);
@@ -79,19 +107,8 @@ void Vmsc::activate_signaling_context(Imsi imsi) {
   req->imsi = imsi;
   req->nsapi = kSignalingNsapi;
   req->qos = config_.signaling_qos;
-  send(sgsn(), std::move(req));
-  retx().arm(
-      retx_key(RetxKind::kPdpActivateSig, imsi),
-      [this, imsi] {
-        VgprsState* st = vgprs_states_.find(imsi);
-        if (st == nullptr || st->signaling_active) return;
-        auto again = pool_message<ActivatePdpContextRequest>();
-        again->imsi = imsi;
-        again->nsapi = kSignalingNsapi;
-        again->qos = config_.signaling_qos;
-        send(sgsn(), std::move(again));
-      },
-      [this, imsi] {
+  send_sgsn_request(
+      RetxKind::kPdpActivateSig, imsi, std::move(req), [this, imsi] {
         // The signaling context is the substrate for everything: without
         // it neither registration nor a queued MO call can proceed.
         net().spans().close(SpanKind::kPdpActivation, imsi.value(),
@@ -99,7 +116,7 @@ void Vmsc::activate_signaling_context(Imsi imsi) {
         if (VgprsState* st = vgprs_states_.find(imsi); st != nullptr) {
           st->mo_pending = false;
           if (st->phase == VgprsState::Phase::kActivatingSignaling) {
-            st->phase = VgprsState::Phase::kNone;
+            enter_phase(imsi, *st, VgprsState::Phase::kNone);
           }
         }
         if (MsContext* ctx = context(imsi)) {
@@ -119,21 +136,10 @@ void Vmsc::activate_voice_context(Imsi imsi) {
   req->imsi = imsi;
   req->nsapi = kVoiceNsapi;
   req->qos = config_.voice_qos;
-  send(sgsn(), std::move(req));
-  retx().arm(
-      retx_key(RetxKind::kPdpActivateVoice, imsi),
-      [this, imsi] {
-        VgprsState* st = vgprs_states_.find(imsi);
-        if (st == nullptr || st->voice_active) return;
-        MsContext* ctx = context(imsi);
-        if (ctx == nullptr || ctx->step != Step::kActive) return;
-        auto again = pool_message<ActivatePdpContextRequest>();
-        again->imsi = imsi;
-        again->nsapi = kVoiceNsapi;
-        again->qos = config_.voice_qos;
-        send(sgsn(), std::move(again));
-      },
-      [this, imsi] {
+  // The exchange outlives the call on purpose: an accept that arrives after
+  // the release is what tears the late context down (handle_gprs).
+  send_sgsn_request(
+      RetxKind::kPdpActivateVoice, imsi, std::move(req), [this, imsi] {
         // The call survives without the conversational context: uplink
         // voice falls back to the signaling context (degraded QoS), which
         // is exactly what on_uplink_voice does when voice_active is false.
@@ -150,24 +156,10 @@ void Vmsc::deactivate_context(Imsi imsi, Nsapi nsapi) {
   auto req = pool_message<DeactivatePdpContextRequest>();
   req->imsi = imsi;
   req->nsapi = nsapi;
-  send(sgsn(), std::move(req));
-  const RetxKind kind = nsapi == kVoiceNsapi ? RetxKind::kPdpDeactivateVoice
-                                             : RetxKind::kPdpDeactivateSig;
-  retx().arm(
-      retx_key(kind, imsi),
-      [this, imsi, nsapi] {
-        const VgprsState* st = vgprs_states_.find(imsi);
-        if (st == nullptr) return;
-        if (nsapi == kVoiceNsapi ? !st->voice_active
-                                 : !st->signaling_active) {
-          return;
-        }
-        auto again = pool_message<DeactivatePdpContextRequest>();
-        again->imsi = imsi;
-        again->nsapi = nsapi;
-        send(sgsn(), std::move(again));
-      },
-      [this, imsi, nsapi] {
+  send_sgsn_request(
+      nsapi == kVoiceNsapi ? RetxKind::kPdpDeactivateVoice
+                           : RetxKind::kPdpDeactivateSig,
+      imsi, std::move(req), [this, imsi, nsapi] {
         // Locally the context is gone either way; a leaked context at the
         // SGSN is reclaimed at detach.
         net().spans().close(SpanKind::kPdpDeactivation, imsi.value(),
@@ -192,24 +184,9 @@ void Vmsc::send_arq_for_mo(MsContext& ctx, VgprsState& vs) {
   arq->call_ref = ctx.call_ref;
   arq->calling = ctx.calling;
   arq->called = ctx.called;
-  send_tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, *arq);
-  retx().arm(
-      retx_key(RetxKind::kRasArq, ctx.imsi),
-      [this, imsi = ctx.imsi] {
-        // Re-emit without re-arming (arm() would restart the backoff).
-        MsContext* c = context(imsi);
-        VgprsState* st = vgprs_states_.find(imsi);
-        if (c == nullptr || st == nullptr || c->proc != Proc::kMoCall ||
-            st->remote_signal.valid()) {
-          return;
-        }
-        auto again = pool_message<RasArq>();
-        again->endpoint_id = st->endpoint_id;
-        again->call_ref = c->call_ref;
-        again->calling = c->calling;
-        again->called = c->called;
-        send_tunneled(imsi, st->signaling_ip, config_.gk_ip, *again);
-      },
+  send_sgsn_request(
+      RetxKind::kRasArq, ctx.imsi,
+      tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, *arq),
       [this, imsi = ctx.imsi] {
         if (MsContext* c = context(imsi)) {
           if (c->proc == Proc::kMoCall && c->step != Step::kActive) {
@@ -239,18 +216,14 @@ void Vmsc::route_mo_call(MsContext& ctx) {
 
 // --- release (paper steps 3.1-3.4) -----------------------------------------------
 
-void Vmsc::arm_drq(Imsi imsi, CallRef call_ref) {
-  retx().arm(
-      retx_key(RetxKind::kRasDrq, imsi),
-      [this, imsi, call_ref] {
-        VgprsState* st = vgprs_states_.find(imsi);
-        if (st == nullptr || !st->signaling_active) return;
-        auto again = pool_message<RasDrq>();
-        again->endpoint_id = st->endpoint_id;
-        again->call_ref = call_ref;
-        send_tunneled(imsi, st->signaling_ip, config_.gk_ip, *again);
-      },
-      [this, imsi] {
+void Vmsc::send_drq(Imsi imsi, VgprsState& vs, CallRef call_ref) {
+  auto drq = pool_message<RasDrq>();
+  drq->endpoint_id = vs.endpoint_id;
+  drq->call_ref = call_ref;
+  vs.pending_drq_deactivate = vs.voice_active;
+  send_sgsn_request(
+      RetxKind::kRasDrq, imsi,
+      tunneled(imsi, vs.signaling_ip, config_.gk_ip, *drq), [this, imsi] {
         // The gatekeeper will age the admission out; finish the local
         // teardown (step 3.4) that was waiting on the DCF.
         VgprsState* st = vgprs_states_.find(imsi);
@@ -265,18 +238,10 @@ void Vmsc::arm_drq(Imsi imsi, CallRef call_ref) {
 void Vmsc::detach_and_forget(Imsi imsi) {
   auto detach = pool_message<GprsDetachRequest>();
   detach->imsi = imsi;
-  send(sgsn(), std::move(detach));
-  retx().arm(
-      retx_key(RetxKind::kGprsDetach, imsi),
-      [this, imsi] {
-        auto again = pool_message<GprsDetachRequest>();
-        again->imsi = imsi;
-        send(sgsn(), std::move(again));
-      },
-      // The SGSN detach is idempotent and the MS table entry is already
-      // gone; nothing further to unwind.
-      std::function<void()>{});
-  vgprs_states_.erase(imsi);
+  // The SGSN detach is idempotent and the MS table entry is gone by the
+  // give-up; nothing further to unwind.
+  send_sgsn_request(RetxKind::kGprsDetach, imsi, std::move(detach), {});
+  forget(imsi);
 }
 
 void Vmsc::release_h323_leg(MsContext& ctx, ClearCause cause) {
@@ -291,12 +256,7 @@ void Vmsc::release_h323_leg(MsContext& ctx, ClearCause cause) {
   if (vs.signaling_active) {
     // Step 3.3: disengage at the gatekeeper (charging stops).  Step 3.4
     // (voice context deactivation) follows when the DCF arrives.
-    auto drq = pool_message<RasDrq>();
-    drq->endpoint_id = vs.endpoint_id;
-    drq->call_ref = ctx.call_ref;
-    send_tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, *drq);
-    vs.pending_drq_deactivate = vs.voice_active;
-    arm_drq(ctx.imsi, ctx.call_ref);
+    send_drq(ctx.imsi, vs, ctx.call_ref);
   } else if (vs.voice_active) {
     deactivate_context(ctx.imsi, kVoiceNsapi);
   }
@@ -333,7 +293,11 @@ void Vmsc::on_call_cleared(MsContext& ctx) {
   VgprsState& vs = vstate(ctx.imsi);
   vs.remote_signal = IpAddress{};
   vs.remote_media = IpAddress{};
+  // An admission request still pending ends with the call: the MT one
+  // waits on awaiting_admission, and an MO one the re-registration sent
+  // during the release serves a call that is gone.
   vs.awaiting_admission = false;
+  retx().ack(retx_key(RetxKind::kRasArq, ctx.imsi));
   vs.mo_pending = false;
   if (config_.deactivate_pdp_when_idle && vs.signaling_active) {
     deactivate_context(ctx.imsi, kSignalingNsapi);
@@ -353,20 +317,9 @@ void Vmsc::on_subscriber_removed(const MsContext& ctx) {
     auto urq = pool_message<RasUrq>();
     urq->alias = vs.alias;
     urq->endpoint_id = vs.endpoint_id;
-    send_tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, *urq);
-    retx().arm(
-        retx_key(RetxKind::kRasUrq, ctx.imsi),
-        [this, imsi = ctx.imsi] {
-          VgprsState* st = vgprs_states_.find(imsi);
-          if (st == nullptr || !st->pending_detach ||
-              !st->signaling_active) {
-            return;
-          }
-          auto again = pool_message<RasUrq>();
-          again->alias = st->alias;
-          again->endpoint_id = st->endpoint_id;
-          send_tunneled(imsi, st->signaling_ip, config_.gk_ip, *again);
-        },
+    send_sgsn_request(
+        RetxKind::kRasUrq, ctx.imsi,
+        tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, *urq),
         [this, imsi = ctx.imsi] {
           // The gatekeeper stayed silent; detach anyway — a stale alias
           // there is replaced on the next registration.
@@ -403,7 +356,7 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     retx().ack(retx_key(RetxKind::kGprsAttach, acc->imsi));
     VgprsState& vs = vstate(acc->imsi);
     if (vs.phase != VgprsState::Phase::kAttaching) return true;
-    vs.phase = VgprsState::Phase::kActivatingSignaling;
+    enter_phase(acc->imsi, vs, VgprsState::Phase::kActivatingSignaling);
     activate_signaling_context(acc->imsi);
     return true;
   }
@@ -414,7 +367,7 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     if (MsContext* ctx = context(rej->imsi)) {
       if (ctx->step == Step::kSubstrate) reject_registration(*ctx, 17);
     }
-    vgprs_states_.erase(rej->imsi);
+    forget(rej->imsi);
     return true;
   }
   if (const auto* acc = msg_cast<ActivatePdpContextAccept>(&msg)) {
@@ -440,34 +393,21 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     }
     vs.signaling_ip = acc->address;
     vs.signaling_active = true;
-    vs.phase = VgprsState::Phase::kRasRegistering;
+    enter_phase(acc->imsi, vs, VgprsState::Phase::kRasRegistering);
     // Step 1.4: end-point registration at the gatekeeper, through the
     // freshly activated signaling context.
     auto rrq = pool_message<RasRrq>();
     rrq->call_signal_address =
         TransportAddress(vs.signaling_ip, config_.signal_port);
     rrq->alias = vs.alias;
-    send_tunneled(acc->imsi, vs.signaling_ip, config_.gk_ip, *rrq);
-    retx().arm(
-        retx_key(RetxKind::kRasRrq, acc->imsi),
-        [this, imsi = acc->imsi] {
-          VgprsState* st = vgprs_states_.find(imsi);
-          if (st == nullptr ||
-              st->phase != VgprsState::Phase::kRasRegistering ||
-              !st->signaling_active) {
-            return;
-          }
-          auto again = pool_message<RasRrq>();
-          again->call_signal_address =
-              TransportAddress(st->signaling_ip, config_.signal_port);
-          again->alias = st->alias;
-          send_tunneled(imsi, st->signaling_ip, config_.gk_ip, *again);
-        },
+    send_sgsn_request(
+        RetxKind::kRasRrq, acc->imsi,
+        tunneled(acc->imsi, vs.signaling_ip, config_.gk_ip, *rrq),
         [this, imsi = acc->imsi] {
           if (VgprsState* st = vgprs_states_.find(imsi);
               st != nullptr &&
               st->phase == VgprsState::Phase::kRasRegistering) {
-            st->phase = VgprsState::Phase::kNone;
+            enter_phase(imsi, *st, VgprsState::Phase::kNone);
           }
           if (MsContext* c = context(imsi)) {
             if (c->step == Step::kSubstrate) reject_registration(*c, 17);
@@ -492,7 +432,7 @@ bool Vmsc::handle_gprs(const Envelope& env) {
       if (VgprsState* st = vgprs_states_.find(rej->imsi);
           st != nullptr &&
           st->phase == VgprsState::Phase::kActivatingSignaling) {
-        st->phase = VgprsState::Phase::kNone;
+        enter_phase(rej->imsi, *st, VgprsState::Phase::kNone);
       }
     }
     if (MsContext* ctx = context(rej->imsi)) {
@@ -552,7 +492,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
   if (const auto* rcf = msg_cast<RasRcf>(&inner)) {
     retx().ack(retx_key(RetxKind::kRasRrq, imsi));
     vs.endpoint_id = rcf->endpoint_id;
-    vs.phase = VgprsState::Phase::kReady;
+    enter_phase(imsi, vs, VgprsState::Phase::kReady);
     MsContext* ctx = context(imsi);
     if (ctx != nullptr && ctx->step == Step::kSubstrate) {
       // Step 1.5 done: MM and PDP contexts recorded, complete step 1.6.
@@ -573,7 +513,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     VG_WARN("vmsc", name() << ": RAS registration rejected, cause "
                            << static_cast<int>(rrj->cause));
     if (vs.phase == VgprsState::Phase::kRasRegistering) {
-      vs.phase = VgprsState::Phase::kNone;
+      enter_phase(imsi, vs, VgprsState::Phase::kNone);
     }
     if (MsContext* ctx = context(imsi)) {
       if (ctx->step == Step::kSubstrate) reject_registration(*ctx, 17);
@@ -596,9 +536,10 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
       }
       return;
     }
-    if (ctx->proc == Proc::kMoCall) {
+    if (ctx->step == Step::kMoProgress) {
       // Step 2.3 complete: the gatekeeper supplied the destination call
-      // signaling address; send the Q.931 Setup (step 2.4).
+      // signaling address; send the Q.931 Setup (step 2.4).  An ACF that
+      // lands after the MS hung up sets up no far-end leg.
       vs.remote_signal = acf->dest_call_signal_address.ip();
       auto setup = pool_message<Q931Setup>();
       setup->call_ref = ctx->call_ref;
@@ -608,29 +549,9 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
           TransportAddress(vs.signaling_ip, config_.signal_port);
       setup->media_address =
           TransportAddress(vs.signaling_ip, config_.media_port);
-      send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *setup);
-      retx().arm(
-          retx_key(RetxKind::kQ931Setup, imsi),
-          [this, imsi] {
-            MsContext* c = context(imsi);
-            VgprsState* st = vgprs_states_.find(imsi);
-            if (c == nullptr || st == nullptr ||
-                c->proc != Proc::kMoCall ||
-                c->step != Step::kMoProgress ||
-                !st->remote_signal.valid()) {
-              return;
-            }
-            auto again = pool_message<Q931Setup>();
-            again->call_ref = c->call_ref;
-            again->calling = c->calling;
-            again->called = c->called;
-            again->src_signal_address =
-                TransportAddress(st->signaling_ip, config_.signal_port);
-            again->media_address =
-                TransportAddress(st->signaling_ip, config_.media_port);
-            send_tunneled(imsi, st->signaling_ip, st->remote_signal,
-                          *again);
-          },
+      send_sgsn_request(
+          RetxKind::kQ931Setup, imsi,
+          tunneled(imsi, vs.signaling_ip, vs.remote_signal, *setup),
           [this, imsi] {
             if (MsContext* c = context(imsi)) {
               if (c->proc == Proc::kMoCall && c->step != Step::kActive) {
@@ -705,24 +626,9 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     arq->calling = setup->calling;
     arq->called = vs.alias;
     arq->answer_call = true;
-    send_tunneled(imsi, vs.signaling_ip, config_.gk_ip, *arq);
-    retx().arm(
-        retx_key(RetxKind::kRasArq, imsi),
-        [this, imsi] {
-          VgprsState* st = vgprs_states_.find(imsi);
-          if (st == nullptr || !st->awaiting_admission ||
-              !st->signaling_active) {
-            return;
-          }
-          auto again = pool_message<RasArq>();
-          again->endpoint_id = st->endpoint_id;
-          again->call_ref = st->mt_call_ref;
-          again->calling = st->mt_calling;
-          again->called = st->alias;
-          again->answer_call = true;
-          send_tunneled(imsi, st->signaling_ip, config_.gk_ip, *again);
-        },
-        [this, imsi] {
+    send_sgsn_request(
+        RetxKind::kRasArq, imsi,
+        tunneled(imsi, vs.signaling_ip, config_.gk_ip, *arq), [this, imsi] {
           // No admission decision: tell the caller the leg failed; no GSM
           // resources were committed yet (paging starts only at the ACF).
           VgprsState* st = vgprs_states_.find(imsi);
@@ -778,12 +684,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
       return;  // already clearing
     }
     release_from_network(*ctx, static_cast<ClearCause>(rel->cause));
-    auto drq = pool_message<RasDrq>();
-    drq->endpoint_id = vs.endpoint_id;
-    drq->call_ref = rel->call_ref;
-    send_tunneled(imsi, vs.signaling_ip, config_.gk_ip, *drq);
-    vs.pending_drq_deactivate = vs.voice_active;
-    arm_drq(imsi, rel->call_ref);
+    send_drq(imsi, vs, rel->call_ref);
     return;
   }
 

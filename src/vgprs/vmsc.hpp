@@ -110,16 +110,28 @@ class Vmsc : public MscBase {
   [[nodiscard]] NodeId sgsn() const;
   VgprsState& vstate(Imsi imsi) { return vgprs_states_[imsi]; }
 
-  /// Sends an H.323/IP message from the MS's signaling address through the
-  /// GPRS tunnel (Gb toward the SGSN).
+  /// The Gb frame that carries an H.323/IP message from `src` (one of the
+  /// MS's PDP addresses) through the GPRS tunnel toward the SGSN.
+  [[nodiscard]] MessagePtr tunneled(Imsi imsi, IpAddress src, IpAddress dst,
+                                    const Message& inner) const;
   void send_tunneled(Imsi imsi, IpAddress src, IpAddress dst,
                      const Message& inner,
                      SimDuration processing = SimDuration::zero());
+  /// Sends a GPRS request, or a frame tunnelling a RAS / Q.931 request, to
+  /// the SGSN under (kind, imsi); the Retransmitter re-sends that message.
+  void send_sgsn_request(RetxKind kind, Imsi imsi, MessagePtr request,
+                         std::function<void()> give_up);
+  /// Moves the MS table entry to `phase`.  The GPRS attach serves
+  /// kAttaching and the RRQ kRasRegistering: leaving one ends its exchange.
+  void enter_phase(Imsi imsi, VgprsState& vs, VgprsState::Phase phase);
+  /// Erases the MS table entry.  Every exchange but the GPRS detach served
+  /// it and ends with it; a PDP procedure in flight closes as rejected.
+  void forget(Imsi imsi);
 
   void release_h323_leg(MsContext& ctx, ClearCause cause);
-  /// Arms retransmission for a DRQ just sent for `call_ref`; gives up by
-  /// running the deferred voice-context deactivation locally.
-  void arm_drq(Imsi imsi, CallRef call_ref);
+  /// Sends the DRQ for `call_ref` with retransmission; gives up by running
+  /// the deferred voice-context deactivation locally.
+  void send_drq(Imsi imsi, VgprsState& vs, CallRef call_ref);
   /// Sends the GPRS detach (with retransmission) and forgets the MS table
   /// entry.  Terminal: the detach is fire-and-forget beyond the backoff.
   void detach_and_forget(Imsi imsi);

@@ -127,8 +127,11 @@ TEST_P(HandoffTest, PrepareAckAfterGuardExpiryIsIgnored) {
   // The target's MAP_Prepare_Handover_ack is held back 31 s, past the
   // anchor's 30 s handoff guard.  When it lands no handover is pending, so
   // the anchor must drop it; commanding the MS toward the cleared target
-  // cell would make it fail the handover and drop the call.
+  // cell would make it fail the handover and drop the call.  The abandoned
+  // attempt must not leave the target holding a channel for an MS that is
+  // not coming: the anchor's abort releases the reservation.
   const char* target = GetParam() ? "VMSC-B" : "MSC-B";
+  const Imsi imsi = s_->ms->config().imsi;
   MessageFault late{
       MessagePredicate{"MAP_Prepare_Handover_ack", target, "VMSC", 1, 1},
       FaultKind::kReorder};
@@ -144,11 +147,18 @@ TEST_P(HandoffTest, PrepareAckAfterGuardExpiryIsIgnored) {
   EXPECT_EQ(s_->net.trace().count("A_Handover_Command"), 0u);
   EXPECT_TRUE(failures.empty()) << failures.front();
   EXPECT_EQ(s_->ms->state(), MobileStation::State::kConnected);
+  EXPECT_EQ(s_->bsc2->tch_in_use(), 0u);
+  EXPECT_EQ(s_->msc_b->context_of(imsi), nullptr);
   s_->ms->start_voice(5);
   s_->terminal->start_voice(5);
   s_->settle();
   EXPECT_EQ(s_->terminal->voice_frames_received(), 5u);
   EXPECT_EQ(s_->ms->voice_frames_received(), 5u);
+  s_->ms->hangup();
+  s_->settle();
+  EXPECT_EQ(s_->ms->state(), MobileStation::State::kIdle);
+  EXPECT_EQ(s_->bsc2->tch_in_use(), 0u);
+  EXPECT_EQ(s_->msc_b->context_of(imsi), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(AnchorToGsmAndVmsc, HandoffTest,

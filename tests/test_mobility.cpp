@@ -222,11 +222,23 @@ TEST(MobilityTest, PowerOffDuringCallReleasesFirst) {
   w.s->settle();
   ASSERT_EQ(ms.state(), MobileStation::State::kConnected);
 
+  w.s->net.trace().clear();
+  w.s->net.spans().set_enabled(true);
   ms.power_off();
   w.s->settle();
   EXPECT_EQ(ms.state(), MobileStation::State::kDetached);
   EXPECT_EQ(w.s->terminals[0]->state(), H323Terminal::State::kRegistered);
   EXPECT_EQ(w.s->sgsn->pdp_context_count(), 0u);
+  // Nothing is lost on this network, so nothing may be resent: the voice
+  // context's deactivation is sent once and its exchange ends with the
+  // subscriber, not in copies to nobody and a give-up.  Its span closes
+  // then, as abandoned.
+  EXPECT_EQ(w.s->net.metrics().counter("recovery/retransmits"), 0);
+  EXPECT_EQ(w.s->net.metrics().counter("recovery/give_ups"), 0);
+  EXPECT_EQ(w.s->net.trace().count("Deactivate_PDP_Context_Request"), 1u);
+  EXPECT_EQ(w.s->net.spans().count(SpanKind::kPdpDeactivation,
+                                   SpanOutcome::kRejected),
+            1u);
 }
 
 }  // namespace

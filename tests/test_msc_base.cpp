@@ -226,6 +226,32 @@ TEST_F(MscBaseTest, DuplicateDisconnectHandledOnce) {
   EXPECT_EQ(msc_->ms_disconnects, 1);  // duplicates swallowed
 }
 
+TEST_F(MscBaseTest, HangupWhileAuthorizingEndsTheMapRequest) {
+  // The VLR's answer to the call authorization is lost, and the MS hangs up
+  // before the first resend is due.  The request served the authorizing
+  // step, so leaving that step ends its exchange: no copy goes out and
+  // nothing gives up on it later.
+  register_ms();
+  FaultSchedule sched;
+  sched.message_faults.push_back(
+      {MessagePredicate{"MAP_Send_Info_For_Outgoing_Call_ack", "VLR", "MSC",
+                        1, 1},
+       FaultKind::kDrop});
+  net_->install_faults(std::move(sched));
+  net_->trace().clear();
+  ms_->dial(Msisdn(880900001000ULL, 12));
+  net_->run_until(net_->now() + SimDuration::millis(500));
+  ASSERT_EQ(msc_->context_of(id_.imsi)->step, MscBase::Step::kAuthorize);
+  ms_->hangup();
+  net_->run_until_idle();
+  EXPECT_EQ(net_->trace().count("MAP_Send_Info_For_Outgoing_Call"), 1u);
+  EXPECT_EQ(net_->metrics().counter("recovery/retransmits"), 0);
+  EXPECT_EQ(net_->metrics().counter("recovery/give_ups"), 0);
+  EXPECT_EQ(msc_->cleared, 1);
+  EXPECT_EQ(ms_->state(), MobileStation::State::kIdle);
+  EXPECT_EQ(bsc_->tch_in_use(), 0u);
+}
+
 TEST_F(MscBaseTest, SubscriberRemovalErasesContext) {
   register_ms();
   auto cancel = std::make_shared<MapCancelLocation>();

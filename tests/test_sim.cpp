@@ -230,8 +230,9 @@ TEST_F(SimTest, ManyCancelledTimersDoNotAccumulateState) {
   EXPECT_EQ(a.timer_cookies[0], 1u);
 }
 
-/// Owns a Retransmitter and logs what reaches it: each resend and give-up
-/// at its sim time, and every timer the retransmitter did not claim.
+/// Owns a Retransmitter and logs each give-up at its sim time and every
+/// timer the retransmitter did not claim.  Its requests are Pings carrying
+/// the exchange key, sent to a Probe that logs every copy it receives.
 class RetxOwner final : public Node {
  public:
   explicit RetxOwner(std::string name) : Node(std::move(name)) {}
@@ -240,85 +241,128 @@ class RetxOwner final : public Node {
   void on_timer(TimerId id, std::uint64_t cookie) override {
     if (!retx.on_timer(id, cookie)) own_timers.push_back(cookie);
   }
-  void arm(std::uint64_t key) {
-    retx.arm(key, [this] { resends.push_back(now().as_millis()); },
-             [this] { give_ups.push_back(now().as_millis()); });
+  void request(std::uint64_t key, const Node& peer) {
+    auto ping = std::make_shared<Ping>();
+    ping->value = static_cast<std::uint32_t>(key);
+    retx.send(key, peer.id(), std::move(ping),
+              [this] { give_ups.push_back(now().as_millis()); });
   }
 
   Retransmitter retx{*this};
-  std::vector<double> resends;   // ms
   std::vector<double> give_ups;  // ms
   std::vector<std::uint64_t> own_timers;
 };
 
-TEST_F(SimTest, RetransmitterBacksOffThenGivesUp) {
+/// An owner linked to a peer over a zero-latency link, so each copy
+/// arrives at the time it was sent.
+struct RetxWorld {
   Network net;
-  auto& o = net.add<RetxOwner>("o");
-  o.arm(7);
-  net.run_until_idle();
-  // Default policy: 1 s, doubling, 3 retries, then the give-up.
-  EXPECT_EQ(o.resends, (std::vector<double>{1000, 3000, 7000}));
-  EXPECT_EQ(o.give_ups, std::vector<double>{15000});
-  EXPECT_EQ(o.retx.retransmits(), 3u);
-  EXPECT_EQ(o.retx.give_ups(), 1u);
-  EXPECT_EQ(net.metrics().counter("recovery/retransmits"), 3);
-  EXPECT_EQ(net.metrics().counter("recovery/give_ups"), 1);
-  EXPECT_FALSE(o.retx.pending(7));
-  EXPECT_TRUE(o.own_timers.empty());
+  RetxOwner& o = net.add<RetxOwner>("o");
+  Probe& peer = net.add<Probe>("peer");
+  RetxWorld() { net.connect(o, peer, instant()); }
+
+  static LinkProfile instant() {
+    LinkProfile p;
+    p.latency = SimDuration::zero();
+    return p;
+  }
+
+  /// Arrival times (ms) of every copy the peer received.
+  [[nodiscard]] std::vector<double> arrivals() const {
+    std::vector<double> out;
+    for (SimTime t : peer.arrivals) out.push_back(t.as_millis());
+    return out;
+  }
+};
+
+TEST_F(SimTest, RetransmitterBacksOffThenGivesUp) {
+  RetxWorld w;
+  w.o.request(7, w.peer);
+  w.net.run_until_idle();
+  // Sent at 0; resent after 1 s, doubling, 3 times; then the give-up.
+  EXPECT_EQ(w.arrivals(), (std::vector<double>{0, 1000, 3000, 7000}));
+  EXPECT_EQ(w.o.give_ups, std::vector<double>{15000});
+  EXPECT_EQ(w.o.retx.retransmits(), 3u);
+  EXPECT_EQ(w.o.retx.give_ups(), 1u);
+  EXPECT_EQ(w.net.metrics().counter("recovery/retransmits"), 3);
+  EXPECT_EQ(w.net.metrics().counter("recovery/give_ups"), 1);
+  EXPECT_FALSE(w.o.retx.pending(7));
+  EXPECT_TRUE(w.o.own_timers.empty());
+}
+
+TEST_F(SimTest, RetransmitterResendsTheRequestItSentToItsPeer) {
+  // Every copy carries the sent request's wire bytes to the peer it was
+  // sent to; a second linked node hears nothing.
+  RetxWorld w;
+  Probe& bystander = w.net.add<Probe>("bystander");
+  w.net.connect(w.o, bystander, RetxWorld::instant());
+  w.o.request(7, w.peer);
+  const std::vector<std::uint8_t> wire = make_message<Ping>([](Ping& p) {
+                                           p.value = 7;
+                                         })->encode();
+  w.net.run_until_idle();
+  ASSERT_EQ(w.peer.arrivals.size(), 4u);
+  EXPECT_TRUE(bystander.arrivals.empty());
+  ASSERT_EQ(w.net.trace().size(), 4u);
+  for (const TraceRecord& r : w.net.trace().records()) {
+    EXPECT_EQ(r.from, w.o.id());
+    EXPECT_EQ(r.to, w.peer.id());
+    EXPECT_EQ(r.msg->encode(), wire);
+  }
 }
 
 TEST_F(SimTest, RetransmitterAckCancelsThePendingTimer) {
-  Network net;
-  auto& o = net.add<RetxOwner>("o");
-  o.arm(7);
-  net.run_until(SimTime::from_micros(500'000));
-  EXPECT_TRUE(o.retx.ack(7));
-  EXPECT_FALSE(o.retx.ack(7));  // a duplicate response is a no-op
-  net.run_until_idle();
-  EXPECT_TRUE(o.resends.empty());
-  EXPECT_TRUE(o.give_ups.empty());
-  EXPECT_EQ(net.stats().timers_fired, 0u);
+  RetxWorld w;
+  w.o.request(7, w.peer);
+  w.net.run_until(SimTime::from_micros(500'000));
+  EXPECT_TRUE(w.o.retx.ack(7));
+  EXPECT_FALSE(w.o.retx.ack(7));  // a duplicate response is a no-op
+  w.net.run_until_idle();
+  EXPECT_EQ(w.arrivals(), std::vector<double>{0});
+  EXPECT_TRUE(w.o.give_ups.empty());
+  EXPECT_EQ(w.net.stats().timers_fired, 0u);
   // The cancelled timer still pops at its time: the clock ends where it
   // would have ended had the timer fired.
-  EXPECT_EQ(net.now().as_millis(), 1000.0);
+  EXPECT_EQ(w.net.now().as_millis(), 1000.0);
 }
 
 TEST_F(SimTest, RetransmitterRearmRestartsTheSchedule) {
-  Network net;
-  auto& o = net.add<RetxOwner>("o");
-  o.arm(7);
-  net.run_until(SimTime::from_micros(2'500'000));
-  o.arm(7);
-  net.run_until_idle();
-  EXPECT_EQ(o.resends, (std::vector<double>{1000, 3500, 5500, 9500}));
-  EXPECT_EQ(o.give_ups, std::vector<double>{17500});
+  RetxWorld w;
+  w.o.request(7, w.peer);
+  w.net.run_until(SimTime::from_micros(2'500'000));
+  w.o.request(7, w.peer);
+  w.net.run_until_idle();
+  // Sent at 0 and again at 2.5 s: resent at 1 s, then at 3.5, 5.5 and
+  // 9.5 s on the restarted schedule.
+  EXPECT_EQ(w.arrivals(),
+            (std::vector<double>{0, 1000, 2500, 3500, 5500, 9500}));
+  EXPECT_EQ(w.o.retx.retransmits(), 4u);
+  EXPECT_EQ(w.o.give_ups, std::vector<double>{17500});
 }
 
 TEST_F(SimTest, RetransmitterResetDropsEveryExchangeWithoutGiveUp) {
-  Network net;
-  auto& o = net.add<RetxOwner>("o");
-  o.arm(7);
-  o.arm(8);
-  EXPECT_EQ(o.retx.pending_count(), 2u);
-  o.retx.reset();
-  EXPECT_EQ(o.retx.pending_count(), 0u);
-  net.run_until_idle();
-  EXPECT_TRUE(o.resends.empty());
-  EXPECT_TRUE(o.give_ups.empty());
-  EXPECT_EQ(net.stats().timers_fired, 0u);
+  RetxWorld w;
+  w.o.request(7, w.peer);
+  w.o.request(8, w.peer);
+  EXPECT_EQ(w.o.retx.pending_count(), 2u);
+  w.o.retx.reset();
+  EXPECT_EQ(w.o.retx.pending_count(), 0u);
+  w.net.run_until_idle();
+  EXPECT_EQ(w.arrivals(), (std::vector<double>{0, 0}));  // first copies only
+  EXPECT_TRUE(w.o.give_ups.empty());
+  EXPECT_EQ(w.net.stats().timers_fired, 0u);
 }
 
 TEST_F(SimTest, RetransmitterLeavesOwnerTimerWithAPendingKeyAlone) {
   // The owner's own timer carries a cookie equal to a pending key; only
   // the TimerId tells the two apart.
-  Network net;
-  auto& o = net.add<RetxOwner>("o");
-  o.arm(7);
-  net.set_timer(o.id(), SimDuration::millis(500), 7);
-  net.run_until(SimTime::from_micros(1'500'000));
-  EXPECT_EQ(o.own_timers, std::vector<std::uint64_t>{7});
-  EXPECT_EQ(o.resends, std::vector<double>{1000});
-  EXPECT_TRUE(o.retx.pending(7));
+  RetxWorld w;
+  w.o.request(7, w.peer);
+  w.net.set_timer(w.o.id(), SimDuration::millis(500), 7);
+  w.net.run_until(SimTime::from_micros(1'500'000));
+  EXPECT_EQ(w.o.own_timers, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(w.arrivals(), (std::vector<double>{0, 1000}));
+  EXPECT_TRUE(w.o.retx.pending(7));
 }
 
 TEST_F(SimTest, DisabledTraceRecordsNothingButDelivers) {
