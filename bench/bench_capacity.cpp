@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -28,7 +29,7 @@ void BM_EventThroughput(benchmark::State& state) {
     NodeId peer;
     std::int64_t remaining = 0;
     void on_message(const Envelope& env) override {
-      if (remaining-- > 0) send(peer, MessagePtr(env.msg->clone()));
+      if (remaining-- > 0) send(peer, env.msg);
     }
   };
   for (auto _ : state) {
@@ -97,13 +98,13 @@ void BM_VgprsCallCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_VgprsCallCycle)->Arg(0)->Arg(1);
 
-// The tentpole's headline number: one metropolitan-scale scenario (16
-// cells under a single VMSC) executed by the sharded engine.  range(0) =
-// subscribers, range(1) = worker threads; the 1-worker rows are the
-// scaling baseline (same shard layout, same event order — only the thread
-// count changes, so the ratio is pure engine speedup).  Registration is
-// untimed setup; each iteration is a wave of 2048 simultaneous cross-cell
-// call cycles, which keeps every shard seam (Abis, A, Gn, Gi, IP) busy.
+// One metropolitan-scale scenario (16 cells under a single VMSC) executed
+// by the sharded engine.  range(0) = subscribers, range(1) = worker
+// threads, with 0 meaning not sharded at all: the sequential engine on the
+// same network is the baseline every worker count's speedup is quoted
+// against (same calls, same event order).  Registration is untimed
+// setup; each iteration is a wave of 2048 simultaneous cross-cell call
+// cycles, which keeps every shard seam (Abis, A, Gn, Gi, IP) busy.
 // A page is one delivery whatever the cell size, so a call costs the same
 // work at every scale and the rows report calls/s.
 void BM_ShardedCallMix(benchmark::State& state) {
@@ -114,8 +115,8 @@ void BM_ShardedCallMix(benchmark::State& state) {
   params.num_cells = 16;
   params.bsc_channels = 8192;
   params.seed = 11;
-  params.sharded = true;
-  params.workers = workers;
+  params.sharded = workers > 0;
+  params.workers = std::max(workers, 1u);
   auto s = build_vgprs(params);
   s->net.trace().set_mode(TraceMode::kDisabled);
   // Power on in waves so the per-BSC SDCCH pool (8192) never saturates.
@@ -147,17 +148,22 @@ void BM_ShardedCallMix(benchmark::State& state) {
   }
   state.counters["calls/s"] = benchmark::Counter(
       static_cast<double>(calls), benchmark::Counter::kIsRate);
-  state.SetLabel(std::to_string(s->net.num_shards()) + " shards");
+  state.SetLabel(params.sharded
+                     ? std::to_string(s->net.num_shards()) + " shards"
+                     : "unsharded");
 }
 BENCHMARK(BM_ShardedCallMix)
+    ->Args({10000, 0})
     ->Args({10000, 1})
     ->Args({10000, 2})
     ->Args({10000, 4})
     ->Args({10000, 8})
+    ->Args({100000, 0})
     ->Args({100000, 1})
     ->Args({100000, 2})
     ->Args({100000, 4})
     ->Args({100000, 8})
+    ->Args({1000000, 0})
     ->Args({1000000, 1})
     ->Args({1000000, 8})
     ->UseRealTime()
@@ -338,16 +344,15 @@ double ns_per_op(const benchmark::BenchmarkReporter::Run& run) {
 /// schema all benches emit.
 void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
                bench::JsonReport& report) {
-  // 1w/4w/8w rows of the sharded call mix, remembered for the derived
-  // speedup_4w_over_1w and speedup_8w_over_1w rows CI's perf-smoke warns on.
+  // Sharded call mix rows by worker count (0 = unsharded), remembered for
+  // the derived speedup_<N>w_over_unsharded rows CI's perf-smoke warns on.
   struct MixScale {
     unsigned subscribers;
     const char* scale;
-    double w1 = 0.0;
-    double w4 = 0.0;
-    double w8 = 0.0;
+    std::map<unsigned, double> by_workers;
   };
-  MixScale mix[] = {{10000, "10k"}, {100000, "100k"}, {1000000, "1m"}};
+  MixScale mix[] = {
+      {10000, "10k", {}}, {100000, "100k", {}}, {1000000, "1m", {}}};
   for (const auto& run : runs) {
     const std::string name = run.run_name.str();
     unsigned subscribers = 0;
@@ -369,11 +374,10 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
       for (MixScale& m : mix) {
         if (m.subscribers != subscribers) continue;
         const double rate = counter_rate(run, "calls/s");
-        if (workers == 1) m.w1 = rate;
-        if (workers == 4) m.w4 = rate;
-        if (workers == 8) m.w8 = rate;
+        m.by_workers[workers] = rate;
         report.add(std::string("sharded_call_mix_") + m.scale + "_" +
-                       std::to_string(workers) + "w",
+                       (workers == 0 ? std::string("unsharded")
+                                     : std::to_string(workers) + "w"),
                    "calls_per_s", "1/s", rate);
       }
     } else if (name.find("BM_CaptureOverhead/10000/0") != std::string::npos) {
@@ -405,13 +409,14 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
     }
   }
   for (const MixScale& m : mix) {
-    if (m.w1 <= 0.0) continue;
+    auto base = m.by_workers.find(0);
+    if (base == m.by_workers.end() || base->second <= 0.0) continue;
     const std::string scenario = std::string("sharded_call_mix_") + m.scale;
-    if (m.w4 > 0.0) {
-      report.add(scenario, "speedup_4w_over_1w", "ratio", m.w4 / m.w1);
-    }
-    if (m.w8 > 0.0) {
-      report.add(scenario, "speedup_8w_over_1w", "ratio", m.w8 / m.w1);
+    for (const auto& [workers, rate] : m.by_workers) {
+      if (workers == 0 || rate <= 0.0) continue;
+      report.add(scenario,
+                 "speedup_" + std::to_string(workers) + "w_over_unsharded",
+                 "ratio", rate / base->second);
     }
   }
 }

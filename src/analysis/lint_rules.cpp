@@ -645,17 +645,21 @@ void check_dispatch(const std::string& source_root, Report& report) {
 
 namespace {
 
-/// A deliberately asymmetric codec: encodes two bytes, decodes one.
-struct BrokenEchoPayload {
+/// A field type whose write and read disagree: two bytes out, one back.
+/// Field lists make every payload codec symmetric, so an asymmetric wire
+/// form is the one codec defect left to seed.
+struct LopsidedByte {
   std::uint8_t value = 7;
-  void encode(ByteWriter& w) const {
-    w.u8(value);
-    w.u8(value);
-  }
-  Status decode(ByteReader& r) {
-    value = r.u8();
-    return r.status();
-  }
+};
+void write(ByteWriter& w, const LopsidedByte& v) {
+  w.u8(v.value);
+  w.u8(v.value);
+}
+void read(ByteReader& r, LopsidedByte& v) { v.value = r.u8(); }
+
+struct BrokenEchoPayload {
+  LopsidedByte value;
+  static auto fields(auto& self) { return std::tie(self.value); }
   [[nodiscard]] std::string describe() const { return {}; }
 };
 using BrokenEcho = ProtoMessage<BrokenEchoPayload, 0x7F01, "Um_Broken_Echo">;
@@ -664,11 +668,7 @@ using BrokenEcho = ProtoMessage<BrokenEchoPayload, 0x7F01, "Um_Broken_Echo">;
 /// step naming it must trip the correlation rule unless exempted.
 struct NoCorrPayload {
   std::uint8_t value = 3;
-  void encode(ByteWriter& w) const { w.u8(value); }
-  Status decode(ByteReader& r) {
-    value = r.u8();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.value); }
   [[nodiscard]] std::string describe() const { return {}; }
 };
 using NoCorrProbe = ProtoMessage<NoCorrPayload, 0x7F02, "Um_No_Corr_Probe">;

@@ -1,6 +1,7 @@
 // Bounds-checked big-endian byte stream reader/writer used by every
-// protocol codec.  Messages are serialized when they cross simulated links,
-// so a codec bug corrupts live flows rather than only failing unit tests.
+// protocol codec, and the wire form of every field type a message carries.
+// Messages are serialized when they cross simulated links, so a codec bug
+// corrupts live flows rather than only failing unit tests.
 #pragma once
 
 #include <bit>
@@ -8,6 +9,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -45,28 +48,6 @@ class ByteWriter {
     u16(static_cast<std::uint16_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
-
-  void imsi(const Imsi& v) {
-    u64(v.value());
-    u8(v.digits());
-  }
-  void tmsi(const Tmsi& v) { u32(v.value()); }
-  void msisdn(const Msisdn& v) {
-    u64(v.value());
-    u8(v.digits());
-  }
-  void msrn(const Msrn& v) { u64(v.value()); }
-  void ip(const IpAddress& v) { u32(v.value()); }
-  void transport(const TransportAddress& v) {
-    ip(v.ip());
-    u16(v.port());
-  }
-  void lai(const LocationAreaId& v) { u32(v.code()); }
-  void cell(const CellId& v) { u32(v.code()); }
-  void teid(const TunnelId& v) { u32(v.value()); }
-  void nsapi(const Nsapi& v) { u8(v.value()); }
-  void call_ref(const CallRef& v) { u32(v.value()); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -129,40 +110,7 @@ class ByteReader {
     return out;
   }
 
-  Imsi imsi() {
-    std::uint64_t v = u64();
-    std::uint8_t d = u8();
-    return Imsi(v, d);
-  }
-  Tmsi tmsi() { return Tmsi(u32()); }
-  Msisdn msisdn() {
-    std::uint64_t v = u64();
-    std::uint8_t d = u8();
-    return Msisdn(v, d);
-  }
-  Msrn msrn() { return Msrn(u64()); }
-  IpAddress ip() { return IpAddress(u32()); }
-  TransportAddress transport() {
-    IpAddress a = ip();
-    std::uint16_t p = u16();
-    return TransportAddress(a, p);
-  }
-  LocationAreaId lai() { return LocationAreaId(u32()); }
-  CellId cell() { return CellId(u32()); }
-  TunnelId teid() { return TunnelId(u32()); }
-  Nsapi nsapi() { return Nsapi(u8()); }
-  CallRef call_ref() { return CallRef(u32()); }
-  /// Booleans have exactly two legal wire values; anything else is a
-  /// non-canonical encoding and must be refused, not normalized (otherwise
-  /// decode -> re-encode changes bytes and relays corrupt the stream).
-  bool boolean() {
-    std::uint8_t v = u8();
-    if (v > 1) bad_value_ = true;
-    return v != 0;
-  }
-
-  /// Marks the current field as out-of-domain (for enum range checks in
-  /// payload decoders).
+  /// Marks the current field as out-of-domain (a non-canonical value).
   void mark_bad_value() { bad_value_ = true; }
 
   [[nodiscard]] Status status() const {
@@ -187,6 +135,134 @@ class ByteReader {
   bool failed_ = false;
   bool bad_value_ = false;
 };
+
+// --- field wire forms ----------------------------------------------------
+//
+// Each field type's wire form is defined once, as one write/read overload
+// pair.  A payload lists its fields once, in wire order:
+//
+//   static auto fields(auto& self) { return std::tie(self.imsi, self.cause); }
+//
+// and write()/read() walk that list, so a payload cannot encode differently
+// from how it decodes.  A read leaves failures in the reader's status().
+
+inline void write(ByteWriter& w, std::uint8_t v) { w.u8(v); }
+inline void read(ByteReader& r, std::uint8_t& v) { v = r.u8(); }
+inline void write(ByteWriter& w, std::uint16_t v) { w.u16(v); }
+inline void read(ByteReader& r, std::uint16_t& v) { v = r.u16(); }
+inline void write(ByteWriter& w, std::uint32_t v) { w.u32(v); }
+inline void read(ByteReader& r, std::uint32_t& v) { v = r.u32(); }
+inline void write(ByteWriter& w, std::uint64_t v) { w.u64(v); }
+inline void read(ByteReader& r, std::uint64_t& v) { v = r.u64(); }
+/// Signed 64-bit values (latency probes) travel as their u64 bit pattern.
+inline void write(ByteWriter& w, std::int64_t v) {
+  w.u64(static_cast<std::uint64_t>(v));
+}
+inline void read(ByteReader& r, std::int64_t& v) {
+  v = static_cast<std::int64_t>(r.u64());
+}
+
+inline void write(ByteWriter& w, bool v) { w.u8(v ? 1 : 0); }
+/// Booleans have exactly two legal wire values; anything else is a
+/// non-canonical encoding and must be refused, not normalized (otherwise
+/// decode -> re-encode changes bytes and relays corrupt the stream).
+inline void read(ByteReader& r, bool& v) {
+  std::uint8_t b = r.u8();
+  if (b > 1) r.mark_bad_value();
+  v = b != 0;
+}
+
+/// Scoped enums travel as their one-byte underlying value.
+template <typename E>
+  requires std::is_enum_v<E>
+void write(ByteWriter& w, E v) {
+  static_assert(std::is_same_v<std::underlying_type_t<E>, std::uint8_t>);
+  w.u8(static_cast<std::uint8_t>(v));
+}
+template <typename E>
+  requires std::is_enum_v<E>
+void read(ByteReader& r, E& v) {
+  v = static_cast<E>(r.u8());
+}
+
+inline void write(ByteWriter& w, const std::string& v) { w.str(v); }
+inline void read(ByteReader& r, std::string& v) { v = r.str(); }
+inline void write(ByteWriter& w, const std::vector<std::uint8_t>& v) {
+  w.bytes(v);
+}
+inline void read(ByteReader& r, std::vector<std::uint8_t>& v) {
+  v = r.bytes();
+}
+
+inline void write(ByteWriter& w, const Imsi& v) {
+  w.u64(v.value());
+  w.u8(v.digits());
+}
+inline void read(ByteReader& r, Imsi& v) {
+  std::uint64_t value = r.u64();
+  v = Imsi(value, r.u8());
+}
+inline void write(ByteWriter& w, const Msisdn& v) {
+  w.u64(v.value());
+  w.u8(v.digits());
+}
+inline void read(ByteReader& r, Msisdn& v) {
+  std::uint64_t value = r.u64();
+  v = Msisdn(value, r.u8());
+}
+inline void write(ByteWriter& w, const Tmsi& v) { w.u32(v.value()); }
+inline void read(ByteReader& r, Tmsi& v) { v = Tmsi(r.u32()); }
+inline void write(ByteWriter& w, const Msrn& v) { w.u64(v.value()); }
+inline void read(ByteReader& r, Msrn& v) { v = Msrn(r.u64()); }
+inline void write(ByteWriter& w, const IpAddress& v) { w.u32(v.value()); }
+inline void read(ByteReader& r, IpAddress& v) { v = IpAddress(r.u32()); }
+inline void write(ByteWriter& w, const TransportAddress& v) {
+  write(w, v.ip());
+  w.u16(v.port());
+}
+inline void read(ByteReader& r, TransportAddress& v) {
+  IpAddress ip;
+  read(r, ip);
+  v = TransportAddress(ip, r.u16());
+}
+inline void write(ByteWriter& w, const LocationAreaId& v) { w.u32(v.code()); }
+inline void read(ByteReader& r, LocationAreaId& v) {
+  v = LocationAreaId(r.u32());
+}
+inline void write(ByteWriter& w, const CellId& v) { w.u32(v.code()); }
+inline void read(ByteReader& r, CellId& v) { v = CellId(r.u32()); }
+inline void write(ByteWriter& w, const TunnelId& v) { w.u32(v.value()); }
+inline void read(ByteReader& r, TunnelId& v) { v = TunnelId(r.u32()); }
+inline void write(ByteWriter& w, const Nsapi& v) { w.u8(v.value()); }
+inline void read(ByteReader& r, Nsapi& v) { v = Nsapi(r.u8()); }
+inline void write(ByteWriter& w, const CallRef& v) { w.u32(v.value()); }
+inline void read(ByteReader& r, CallRef& v) { v = CallRef(r.u32()); }
+
+/// A struct that lists its fields: `T::fields(v)` ties them in wire order.
+template <typename T>
+concept FieldList = requires(T& v) { T::fields(v); };
+
+template <FieldList T>
+void write(ByteWriter& w, const T& v) {
+  std::apply([&w](const auto&... f) { (write(w, f), ...); }, T::fields(v));
+}
+template <FieldList T>
+void read(ByteReader& r, T& v) {
+  std::apply([&r](auto&... f) { (read(r, f), ...); }, T::fields(v));
+}
+
+/// A sequence of field lists: a u8 count, then the elements.
+template <FieldList T>
+void write(ByteWriter& w, const std::vector<T>& v) {
+  w.u8(static_cast<std::uint8_t>(v.size()));
+  for (const T& e : v) write(w, e);
+}
+template <FieldList T>
+void read(ByteReader& r, std::vector<T>& v) {
+  std::uint8_t n = r.u8();
+  v.clear();
+  for (std::uint8_t i = 0; i < n; ++i) read(r, v.emplace_back());
+}
 
 /// Hex dump helper for traces and debugging.
 std::string hex_dump(std::span<const std::uint8_t> data,

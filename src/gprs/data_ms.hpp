@@ -22,18 +22,9 @@ struct DataPingInfo {
   bool response = false;
   std::uint16_t payload_bytes = 512;
 
-  void encode(ByteWriter& w) const {
-    w.u32(seq);
-    w.u64(static_cast<std::uint64_t>(origin_us));
-    w.boolean(response);
-    w.u16(payload_bytes);
-  }
-  Status decode(ByteReader& r) {
-    seq = r.u32();
-    origin_us = static_cast<std::int64_t>(r.u64());
-    response = r.boolean();
-    payload_bytes = r.u16();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.seq, self.origin_us, self.response,
+                    self.payload_bytes);
   }
   [[nodiscard]] std::string describe() const {
     return std::string("{#") + std::to_string(seq) +

@@ -150,7 +150,7 @@ void Ggsn::on_message(const Envelope& env) {
       send(dst_ctx.sgsn, std::move(down));
       return;
     }
-    send(router(), MessagePtr(decoded.value()->clone()));
+    send(router(), MessagePtr(std::move(decoded).value()));
     return;
   }
 

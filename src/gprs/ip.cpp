@@ -41,7 +41,7 @@ void IpRouter::on_message(const Envelope& env) {
     return;
   }
   if (owner == env.from) return;  // avoid reflecting
-  send(owner, MessagePtr(env.msg->clone()));
+  send(owner, env.msg);
 }
 
 void register_ip_messages() { register_message<IpDatagram>(); }

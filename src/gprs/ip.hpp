@@ -16,18 +16,8 @@ struct IpDatagramInfo {
   std::uint8_t protocol = 6;  // TCP (H.225/Q.931 ride on TCP), 17 = UDP
   std::vector<std::uint8_t> payload;
 
-  void encode(ByteWriter& w) const {
-    w.ip(src);
-    w.ip(dst);
-    w.u8(protocol);
-    w.bytes(payload);
-  }
-  Status decode(ByteReader& r) {
-    src = r.ip();
-    dst = r.ip();
-    protocol = r.u8();
-    payload = r.bytes();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.src, self.dst, self.protocol, self.payload);
   }
   [[nodiscard]] std::string describe() const;
 };

@@ -16,11 +16,7 @@ namespace vgprs {
 struct GprsAttachInfo {
   Imsi imsi;
 
-  void encode(ByteWriter& w) const { w.imsi(imsi); }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
   }
@@ -30,15 +26,7 @@ struct GprsAttachAcceptInfo {
   Imsi imsi;
   std::uint32_t ptmsi = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u32(ptmsi);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    ptmsi = r.u32();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.ptmsi); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
   }
@@ -48,15 +36,7 @@ struct GprsRejectInfo {
   Imsi imsi;
   std::uint8_t cause = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u8(cause);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    cause = r.u8();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.cause); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " cause=" + std::to_string(cause) + "}";
   }
@@ -69,20 +49,9 @@ struct ActivatePdpRequestInfo {
   IpAddress requested_address;  // 0.0.0.0 = dynamic allocation
   std::string apn = "voip";
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.nsapi(nsapi);
-    qos.encode(w);
-    w.ip(requested_address);
-    w.str(apn);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    nsapi = r.nsapi();
-    qos = QosProfile::decode(r);
-    requested_address = r.ip();
-    apn = r.str();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.nsapi, self.qos, self.requested_address,
+                    self.apn);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + nsapi.to_string() + " " +
@@ -96,18 +65,8 @@ struct ActivatePdpAcceptInfo {
   IpAddress address;
   QosProfile qos;  // negotiated
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.nsapi(nsapi);
-    w.ip(address);
-    qos.encode(w);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    nsapi = r.nsapi();
-    address = r.ip();
-    qos = QosProfile::decode(r);
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.nsapi, self.address, self.qos);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + nsapi.to_string() + " ip=" +
@@ -119,15 +78,7 @@ struct PdpRefInfo {
   Imsi imsi;
   Nsapi nsapi;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.nsapi(nsapi);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    nsapi = r.nsapi();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.nsapi); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + nsapi.to_string() + "}";
   }
@@ -138,16 +89,8 @@ struct PdpRejectInfo {
   Nsapi nsapi;
   std::uint8_t cause = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.nsapi(nsapi);
-    w.u8(cause);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    nsapi = r.nsapi();
-    cause = r.u8();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.nsapi, self.cause);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " cause=" + std::to_string(cause) + "}";
@@ -161,16 +104,8 @@ struct RequestPdpActivationInfo {
   Nsapi nsapi;
   IpAddress address;  // the static PDP address the network wants activated
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.nsapi(nsapi);
-    w.ip(address);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    nsapi = r.nsapi();
-    address = r.ip();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.nsapi, self.address);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " ip=" + address.to_string() + "}";
@@ -183,15 +118,7 @@ struct GbUnitDataInfo {
   Imsi imsi;  // stands in for the TLLI
   std::vector<std::uint8_t> payload;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.bytes(payload);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    payload = r.bytes();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.payload); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + std::to_string(payload.size()) +
            "B}";
@@ -208,22 +135,9 @@ struct GtpCreatePdpRequestInfo {
   IpAddress requested_address;  // 0.0.0.0 = dynamic
   QosProfile qos;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.nsapi(nsapi);
-    w.str(sgsn_name);
-    w.teid(sgsn_teid);
-    w.ip(requested_address);
-    qos.encode(w);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    nsapi = r.nsapi();
-    sgsn_name = r.str();
-    sgsn_teid = r.teid();
-    requested_address = r.ip();
-    qos = QosProfile::decode(r);
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.nsapi, self.sgsn_name, self.sgsn_teid,
+                    self.requested_address, self.qos);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + nsapi.to_string() + "}";
@@ -239,24 +153,9 @@ struct GtpCreatePdpResponseInfo {
   bool success = true;
   std::uint8_t cause = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.nsapi(nsapi);
-    w.ip(address);
-    w.teid(ggsn_teid);
-    qos.encode(w);
-    w.boolean(success);
-    w.u8(cause);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    nsapi = r.nsapi();
-    address = r.ip();
-    ggsn_teid = r.teid();
-    qos = QosProfile::decode(r);
-    success = r.boolean();
-    cause = r.u8();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.nsapi, self.address, self.ggsn_teid,
+                    self.qos, self.success, self.cause);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " ip=" + address.to_string() + " " +
@@ -269,16 +168,8 @@ struct GtpDeletePdpInfo {
   Nsapi nsapi;
   TunnelId teid;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.nsapi(nsapi);
-    w.teid(teid);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    nsapi = r.nsapi();
-    teid = r.teid();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.nsapi, self.teid);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + nsapi.to_string() + "}";
@@ -291,15 +182,7 @@ struct GtpPduInfo {
   TunnelId teid;
   std::vector<std::uint8_t> payload;
 
-  void encode(ByteWriter& w) const {
-    w.teid(teid);
-    w.bytes(payload);
-  }
-  Status decode(ByteReader& r) {
-    teid = r.teid();
-    payload = r.bytes();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.teid, self.payload); }
   [[nodiscard]] std::string describe() const {
     return "{" + teid.to_string() + " " + std::to_string(payload.size()) +
            "B}";
@@ -312,15 +195,7 @@ struct GtpPduNotificationInfo {
   Imsi imsi;
   IpAddress address;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.ip(address);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    address = r.ip();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.address); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " ip=" + address.to_string() + "}";
   }
@@ -333,16 +208,8 @@ struct GgsnActivationInfo {
   IpAddress address;
   bool success = true;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.ip(address);
-    w.boolean(success);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    address = r.ip();
-    success = r.boolean();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.address, self.success);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " ip=" + address.to_string() + "}";

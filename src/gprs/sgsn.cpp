@@ -106,9 +106,13 @@ void Sgsn::on_message(const Envelope& env) {
     // two NSAPIs in use (5 = signaling, 6 = voice), not a scan of every
     // subscriber's contexts.  The context entries are gone before the GTP
     // responses arrive; the delete's exchange keeps the request it sent.
+    // A context already being deactivated is left to its own delete, which
+    // answers the holder's deactivation.
     for (std::uint8_t n : {std::uint8_t{5}, std::uint8_t{6}}) {
       const PdpContext* ctx = contexts_.find(key(req->imsi, Nsapi(n)));
-      if (ctx == nullptr || ctx->holder != env.from) continue;
+      if (ctx == nullptr || ctx->holder != env.from || ctx->deleting) {
+        continue;
+      }
       auto del = pool_message<GtpDeletePdpContextRequest>();
       del->imsi = ctx->imsi;
       del->nsapi = ctx->nsapi;

@@ -79,6 +79,9 @@ void MobileStation::power_on() {
 void MobileStation::power_off() {
   if (state_ == State::kDetached) return;
   if (state_ != State::kIdle) hangup();
+  // Detaching abandons the procedure in flight (the release hangup() just
+  // began, a registration or a call setup), so its span ends here.
+  close_state_span(SpanOutcome::kRejected);
   auto detach = pool_message<UmImsiDetach>();
   detach->imsi = config_.imsi;
   send(bts(), std::move(detach));

@@ -889,9 +889,9 @@ void MscBase::on_message(const Envelope& env) {
     MsContext* ctx = context(*imsi);
     if (ctx != nullptr && ctx->handed_in) {
       if (env.from == ctx->remote_msc) {
-        send(ctx->bsc, MessagePtr(env.msg->clone()));
+        send(ctx->bsc, env.msg);
       } else {
-        send(ctx->remote_msc, MessagePtr(env.msg->clone()));
+        send(ctx->remote_msc, env.msg);
       }
       return;
     }

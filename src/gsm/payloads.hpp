@@ -24,15 +24,7 @@ struct ChannelRequestInfo {
   Imsi imsi;
   ChannelCause cause = ChannelCause::kLocationUpdate;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u8(static_cast<std::uint8_t>(cause));
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    cause = static_cast<ChannelCause>(r.u8());
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.cause); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
   }
@@ -42,15 +34,7 @@ struct ChannelAssignmentInfo {
   Imsi imsi;
   std::uint16_t channel = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u16(channel);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    channel = r.u16();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.channel); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " ch=" + std::to_string(channel) + "}";
   }
@@ -62,18 +46,8 @@ struct LocationUpdateInfo {
   LocationAreaId lai;
   CellId cell;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.tmsi(tmsi);
-    w.lai(lai);
-    w.cell(cell);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    tmsi = r.tmsi();
-    lai = r.lai();
-    cell = r.cell();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.tmsi, self.lai, self.cell);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + lai.to_string() + "}";
@@ -85,16 +59,8 @@ struct LocationUpdateAcceptInfo {
   LocationAreaId lai;
   Tmsi new_tmsi;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.lai(lai);
-    w.tmsi(new_tmsi);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    lai = r.lai();
-    new_tmsi = r.tmsi();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.lai, self.new_tmsi);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " tmsi=" + new_tmsi.to_string() + "}";
@@ -105,15 +71,7 @@ struct AuthChallengeInfo {
   Imsi imsi;
   std::uint64_t rand = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u64(rand);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    rand = r.u64();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.rand); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
   }
@@ -123,15 +81,7 @@ struct AuthResponseInfo {
   Imsi imsi;
   std::uint32_t sres = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u32(sres);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    sres = r.u32();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.sres); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
   }
@@ -141,15 +91,7 @@ struct CipherModeInfo {
   Imsi imsi;
   std::uint8_t algorithm = 1;  // A5/1
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u8(algorithm);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    algorithm = r.u8();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.algorithm); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " A5/" + std::to_string(algorithm) + "}";
   }
@@ -158,11 +100,7 @@ struct CipherModeInfo {
 struct SubscriberRefInfo {
   Imsi imsi;
 
-  void encode(ByteWriter& w) const { w.imsi(imsi); }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
   }
@@ -174,16 +112,8 @@ struct CmServiceInfo {
   Tmsi tmsi;
   std::uint8_t service = 1;  // 1 = MO call establishment
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.tmsi(tmsi);
-    w.u8(service);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    tmsi = r.tmsi();
-    service = r.u8();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.tmsi, self.service);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
@@ -196,18 +126,8 @@ struct CallSetupInfo {
   Msisdn calling;
   Msisdn called;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-    w.msisdn(calling);
-    w.msisdn(called);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    calling = r.msisdn();
-    called = r.msisdn();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.call_ref, self.calling, self.called);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + " " + calling.to_string() + " -> " +
@@ -219,15 +139,7 @@ struct CallRefInfo {
   Imsi imsi;
   CallRef call_ref;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.call_ref); }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + "}";
   }
@@ -238,16 +150,8 @@ struct CallDisconnectInfo {
   CallRef call_ref;
   ClearCause cause = ClearCause::kNormal;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-    w.u8(static_cast<std::uint8_t>(cause));
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    cause = static_cast<ClearCause>(r.u8());
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.call_ref, self.cause);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() +
@@ -259,15 +163,7 @@ struct PagingInfo {
   Imsi imsi;
   Tmsi tmsi;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.tmsi(tmsi);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    tmsi = r.tmsi();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.tmsi); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
   }
@@ -278,16 +174,8 @@ struct PagingResponseInfo {
   Tmsi tmsi;
   CellId cell;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.tmsi(tmsi);
-    w.cell(cell);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    tmsi = r.tmsi();
-    cell = r.cell();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.tmsi, self.cell);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + cell.to_string() + "}";
@@ -300,16 +188,8 @@ struct AssignmentInfo {
   CallRef call_ref;
   std::uint16_t channel = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-    w.u16(channel);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    channel = r.u16();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.call_ref, self.channel);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + " tch=" + std::to_string(channel) +
@@ -322,16 +202,8 @@ struct HandoverRequiredInfo {
   CallRef call_ref;
   CellId target_cell;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-    w.cell(target_cell);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    target_cell = r.cell();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.call_ref, self.target_cell);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " -> " + target_cell.to_string() + "}";
@@ -344,18 +216,8 @@ struct HandoverChannelInfo {
   CellId target_cell;
   std::uint16_t channel = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-    w.cell(target_cell);
-    w.u16(channel);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    target_cell = r.cell();
-    channel = r.u16();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.call_ref, self.target_cell, self.channel);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " -> " + target_cell.to_string() +
@@ -367,15 +229,7 @@ struct HandoverRefInfo {
   Imsi imsi;
   CallRef call_ref;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.call_ref); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + call_ref.to_string() + "}";
   }
@@ -385,15 +239,7 @@ struct RejectInfo {
   Imsi imsi;
   std::uint8_t cause = 0;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u8(cause);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    cause = r.u8();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.cause); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " cause=" + std::to_string(cause) + "}";
   }
@@ -410,22 +256,9 @@ struct VoiceFrameInfo {
   std::int64_t origin_us = 0;
   std::uint16_t codec_bytes = 33;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-    w.boolean(uplink);
-    w.u32(seq);
-    w.u64(static_cast<std::uint64_t>(origin_us));
-    w.u16(codec_bytes);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    uplink = r.boolean();
-    seq = r.u32();
-    origin_us = static_cast<std::int64_t>(r.u64());
-    codec_bytes = r.u16();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.call_ref, self.uplink, self.seq,
+                    self.origin_us, self.codec_bytes);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + " #" + std::to_string(seq) + "}";
@@ -440,18 +273,7 @@ struct MapAuthInfoAckInfo {
   Imsi imsi;
   std::vector<AuthTriplet> triplets;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.u8(static_cast<std::uint8_t>(triplets.size()));
-    for (const auto& t : triplets) t.encode(w);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    std::uint8_t n = r.u8();
-    triplets.clear();
-    for (std::uint8_t i = 0; i < n; ++i) triplets.push_back(AuthTriplet::decode(r));
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.triplets); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " x" + std::to_string(triplets.size()) +
            "}";
@@ -463,16 +285,8 @@ struct MapUpdateLocationAreaInfo {
   LocationAreaId lai;
   std::string msc_name;  // serving (V)MSC address
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.lai(lai);
-    w.str(msc_name);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    lai = r.lai();
-    msc_name = r.str();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.lai, self.msc_name);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + lai.to_string() + "}";
@@ -486,20 +300,9 @@ struct MapResultInfo {
   Tmsi new_tmsi;
   Msisdn msisdn;  // subscriber's number (VMSC uses it as the H.323 alias)
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.boolean(success);
-    w.u8(cause);
-    w.tmsi(new_tmsi);
-    w.msisdn(msisdn);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    success = r.boolean();
-    cause = r.u8();
-    new_tmsi = r.tmsi();
-    msisdn = r.msisdn();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.success, self.cause, self.new_tmsi,
+                    self.msisdn);
   }
   [[nodiscard]] std::string describe() const {
     return std::string("{") + imsi.to_string() + (success ? " ok" : " fail") +
@@ -512,16 +315,8 @@ struct MapUpdateLocationInfo {
   std::string vlr_name;
   std::string msc_name;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.str(vlr_name);
-    w.str(msc_name);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    vlr_name = r.str();
-    msc_name = r.str();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.vlr_name, self.msc_name);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " vlr=" + vlr_name + "}";
@@ -532,15 +327,7 @@ struct MapInsertSubsDataInfo {
   Imsi imsi;
   SubscriberProfile profile;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    profile.encode(w);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    profile = SubscriberProfile::decode(r);
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.profile); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + profile.msisdn.to_string() + "}";
   }
@@ -550,15 +337,7 @@ struct MapOutgoingCallInfo {
   Imsi imsi;
   Msisdn called;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.msisdn(called);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    called = r.msisdn();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.called); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " -> " + called.to_string() + "}";
   }
@@ -568,14 +347,8 @@ struct MapSriInfo {
   Msisdn msisdn;
   std::string gmsc_name;
 
-  void encode(ByteWriter& w) const {
-    w.msisdn(msisdn);
-    w.str(gmsc_name);
-  }
-  Status decode(ByteReader& r) {
-    msisdn = r.msisdn();
-    gmsc_name = r.str();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.msisdn, self.gmsc_name);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + msisdn.to_string() + "}";
@@ -589,20 +362,9 @@ struct MapSriAckInfo {
   std::string serving_msc;
   bool found = false;
 
-  void encode(ByteWriter& w) const {
-    w.msisdn(msisdn);
-    w.imsi(imsi);
-    w.msrn(msrn);
-    w.str(serving_msc);
-    w.boolean(found);
-  }
-  Status decode(ByteReader& r) {
-    msisdn = r.msisdn();
-    imsi = r.imsi();
-    msrn = r.msrn();
-    serving_msc = r.str();
-    found = r.boolean();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.msisdn, self.imsi, self.msrn, self.serving_msc,
+                    self.found);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + msisdn.to_string() + (found ? " @" + serving_msc : " ?") +
@@ -614,15 +376,7 @@ struct MapPrnInfo {
   Imsi imsi;
   Msisdn msisdn;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.msisdn(msisdn);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    msisdn = r.msisdn();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.msisdn); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + "}";
   }
@@ -632,15 +386,7 @@ struct MapPrnAckInfo {
   Imsi imsi;
   Msrn msrn;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.msrn(msrn);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    msrn = r.msrn();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.msrn); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " " + msrn.to_string() + "}";
   }
@@ -649,11 +395,7 @@ struct MapPrnAckInfo {
 struct MapIncomingCallInfo {
   Msrn msrn;
 
-  void encode(ByteWriter& w) const { w.msrn(msrn); }
-  Status decode(ByteReader& r) {
-    msrn = r.msrn();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.msrn); }
   [[nodiscard]] std::string describe() const {
     return "{" + msrn.to_string() + "}";
   }
@@ -665,18 +407,8 @@ struct MapIncomingCallAckInfo {
   Msisdn msisdn;
   bool found = false;
 
-  void encode(ByteWriter& w) const {
-    w.msrn(msrn);
-    w.imsi(imsi);
-    w.msisdn(msisdn);
-    w.boolean(found);
-  }
-  Status decode(ByteReader& r) {
-    msrn = r.msrn();
-    imsi = r.imsi();
-    msisdn = r.msisdn();
-    found = r.boolean();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.msrn, self.imsi, self.msisdn, self.found);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + msrn.to_string() + " -> " + imsi.to_string() + "}";
@@ -688,16 +420,8 @@ struct MapGprsRoutingAckInfo {
   std::string sgsn_name;
   bool found = false;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.str(sgsn_name);
-    w.boolean(found);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    sgsn_name = r.str();
-    found = r.boolean();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.sgsn_name, self.found);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + (found ? " @" + sgsn_name : " ?") + "}";
@@ -710,18 +434,9 @@ struct MapPrepareHandoverInfo {
   CellId target_cell;
   std::string anchor_msc;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-    w.cell(target_cell);
-    w.str(anchor_msc);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    target_cell = r.cell();
-    anchor_msc = r.str();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.call_ref, self.target_cell,
+                    self.anchor_msc);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " -> " + target_cell.to_string() + "}";
@@ -734,18 +449,8 @@ struct MapPrepareHandoverAckInfo {
   std::uint16_t channel = 0;
   bool success = true;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.call_ref(call_ref);
-    w.u16(channel);
-    w.boolean(success);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    call_ref = r.call_ref();
-    channel = r.u16();
-    success = r.boolean();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.imsi, self.call_ref, self.channel, self.success);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " ch=" + std::to_string(channel) + "}";
@@ -756,15 +461,7 @@ struct MapGprsLocationInfo {
   Imsi imsi;
   std::string sgsn_name;
 
-  void encode(ByteWriter& w) const {
-    w.imsi(imsi);
-    w.str(sgsn_name);
-  }
-  Status decode(ByteReader& r) {
-    imsi = r.imsi();
-    sgsn_name = r.str();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.sgsn_name); }
   [[nodiscard]] std::string describe() const {
     return "{" + imsi.to_string() + " sgsn=" + sgsn_name + "}";
   }

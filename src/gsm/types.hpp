@@ -17,17 +17,8 @@ struct AuthTriplet {
   std::uint32_t sres = 0;  // expected signed response (A3)
   std::uint64_t kc = 0;    // ciphering key (A8)
 
-  void encode(ByteWriter& w) const {
-    w.u64(rand);
-    w.u32(sres);
-    w.u64(kc);
-  }
-  static AuthTriplet decode(ByteReader& r) {
-    AuthTriplet t;
-    t.rand = r.u64();
-    t.sres = r.u32();
-    t.kc = r.u64();
-    return t;
+  static auto fields(auto& self) {
+    return std::tie(self.rand, self.sres, self.kc);
   }
 
   friend bool operator==(const AuthTriplet&, const AuthTriplet&) = default;
@@ -41,21 +32,10 @@ struct SubscriberProfile {
   bool voip_allowed = true;        // vGPRS service subscription
   IpAddress static_pdp_address;    // only set for static-PDP subscribers
 
-  void encode(ByteWriter& w) const {
-    w.msisdn(msisdn);
-    w.boolean(international_calls_allowed);
-    w.boolean(gprs_allowed);
-    w.boolean(voip_allowed);
-    w.ip(static_pdp_address);
-  }
-  static SubscriberProfile decode(ByteReader& r) {
-    SubscriberProfile p;
-    p.msisdn = r.msisdn();
-    p.international_calls_allowed = r.boolean();
-    p.gprs_allowed = r.boolean();
-    p.voip_allowed = r.boolean();
-    p.static_pdp_address = r.ip();
-    return p;
+  static auto fields(auto& self) {
+    return std::tie(self.msisdn, self.international_calls_allowed,
+                    self.gprs_allowed, self.voip_allowed,
+                    self.static_pdp_address);
   }
 
   friend bool operator==(const SubscriberProfile&,
@@ -86,17 +66,9 @@ struct QosProfile {
   std::uint16_t mean_throughput_kbps = 8;
   std::uint8_t priority = 3;  // 1 = highest
 
-  void encode(ByteWriter& w) const {
-    w.u8(static_cast<std::uint8_t>(traffic_class));
-    w.u16(mean_throughput_kbps);
-    w.u8(priority);
-  }
-  static QosProfile decode(ByteReader& r) {
-    QosProfile q;
-    q.traffic_class = static_cast<QosClass>(r.u8());
-    q.mean_throughput_kbps = r.u16();
-    q.priority = r.u8();
-    return q;
+  static auto fields(auto& self) {
+    return std::tie(self.traffic_class, self.mean_throughput_kbps,
+                    self.priority);
   }
 
   friend bool operator==(const QosProfile&, const QosProfile&) = default;

@@ -14,14 +14,8 @@ struct RasRegistrationRequestInfo {
   TransportAddress call_signal_address;
   Msisdn alias;  // E.164 alias: the subscriber's MSISDN
 
-  void encode(ByteWriter& w) const {
-    w.transport(call_signal_address);
-    w.msisdn(alias);
-  }
-  Status decode(ByteReader& r) {
-    call_signal_address = r.transport();
-    alias = r.msisdn();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.call_signal_address, self.alias);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + alias.to_string() + " @ " +
@@ -33,14 +27,8 @@ struct RasRegistrationConfirmInfo {
   Msisdn alias;
   std::uint32_t endpoint_id = 0;
 
-  void encode(ByteWriter& w) const {
-    w.msisdn(alias);
-    w.u32(endpoint_id);
-  }
-  Status decode(ByteReader& r) {
-    alias = r.msisdn();
-    endpoint_id = r.u32();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.alias, self.endpoint_id);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + alias.to_string() + " ep=" + std::to_string(endpoint_id) +
@@ -53,16 +41,8 @@ struct RasRejectInfo {
   CallRef call_ref;
   std::uint8_t cause = 0;
 
-  void encode(ByteWriter& w) const {
-    w.msisdn(alias);
-    w.call_ref(call_ref);
-    w.u8(cause);
-  }
-  Status decode(ByteReader& r) {
-    alias = r.msisdn();
-    call_ref = r.call_ref();
-    cause = r.u8();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.alias, self.call_ref, self.cause);
   }
   [[nodiscard]] std::string describe() const {
     return "{cause=" + std::to_string(cause) + "}";
@@ -77,22 +57,9 @@ struct RasAdmissionRequestInfo {
   bool answer_call = false;  // true when the *answering* endpoint asks
   std::uint16_t bandwidth_kbps = 64;  // requested media bandwidth
 
-  void encode(ByteWriter& w) const {
-    w.u32(endpoint_id);
-    w.call_ref(call_ref);
-    w.msisdn(calling);
-    w.msisdn(called);
-    w.boolean(answer_call);
-    w.u16(bandwidth_kbps);
-  }
-  Status decode(ByteReader& r) {
-    endpoint_id = r.u32();
-    call_ref = r.call_ref();
-    calling = r.msisdn();
-    called = r.msisdn();
-    answer_call = r.boolean();
-    bandwidth_kbps = r.u16();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.endpoint_id, self.call_ref, self.calling, self.called,
+                    self.answer_call, self.bandwidth_kbps);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + " -> " + called.to_string() +
@@ -105,16 +72,9 @@ struct RasAdmissionConfirmInfo {
   TransportAddress dest_call_signal_address;
   std::uint16_t bandwidth_kbps = 64;
 
-  void encode(ByteWriter& w) const {
-    w.call_ref(call_ref);
-    w.transport(dest_call_signal_address);
-    w.u16(bandwidth_kbps);
-  }
-  Status decode(ByteReader& r) {
-    call_ref = r.call_ref();
-    dest_call_signal_address = r.transport();
-    bandwidth_kbps = r.u16();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.call_ref, self.dest_call_signal_address,
+                    self.bandwidth_kbps);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + " dest=" +
@@ -126,14 +86,8 @@ struct RasDisengageInfo {
   std::uint32_t endpoint_id = 0;
   CallRef call_ref;
 
-  void encode(ByteWriter& w) const {
-    w.u32(endpoint_id);
-    w.call_ref(call_ref);
-  }
-  Status decode(ByteReader& r) {
-    endpoint_id = r.u32();
-    call_ref = r.call_ref();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.endpoint_id, self.call_ref);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + "}";
@@ -149,20 +103,9 @@ struct Q931SetupInfo {
   TransportAddress src_signal_address;  // answer path for Q.931 responses
   TransportAddress media_address;       // caller's RTP sink
 
-  void encode(ByteWriter& w) const {
-    w.call_ref(call_ref);
-    w.msisdn(calling);
-    w.msisdn(called);
-    w.transport(src_signal_address);
-    w.transport(media_address);
-  }
-  Status decode(ByteReader& r) {
-    call_ref = r.call_ref();
-    calling = r.msisdn();
-    called = r.msisdn();
-    src_signal_address = r.transport();
-    media_address = r.transport();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.call_ref, self.calling, self.called,
+                    self.src_signal_address, self.media_address);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + " " + calling.to_string() + " -> " +
@@ -173,11 +116,7 @@ struct Q931SetupInfo {
 struct Q931CallRefInfo {
   CallRef call_ref;
 
-  void encode(ByteWriter& w) const { w.call_ref(call_ref); }
-  Status decode(ByteReader& r) {
-    call_ref = r.call_ref();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.call_ref); }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + "}";
   }
@@ -187,14 +126,8 @@ struct Q931ConnectInfo {
   CallRef call_ref;
   TransportAddress media_address;  // callee's RTP sink
 
-  void encode(ByteWriter& w) const {
-    w.call_ref(call_ref);
-    w.transport(media_address);
-  }
-  Status decode(ByteReader& r) {
-    call_ref = r.call_ref();
-    media_address = r.transport();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.call_ref, self.media_address);
   }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() + "}";
@@ -205,15 +138,7 @@ struct Q931ReleaseInfo {
   CallRef call_ref;
   std::uint8_t cause = 16;
 
-  void encode(ByteWriter& w) const {
-    w.call_ref(call_ref);
-    w.u8(cause);
-  }
-  Status decode(ByteReader& r) {
-    call_ref = r.call_ref();
-    cause = r.u8();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.call_ref, self.cause); }
   [[nodiscard]] std::string describe() const {
     return "{" + call_ref.to_string() +
            " cause=" + std::to_string(cause) + "}";

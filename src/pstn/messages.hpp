@@ -17,16 +17,8 @@ struct IsupIamInfo {
   Msisdn calling;
   Msisdn called;  // dialled digits: an MSISDN or an MSRN rendered as digits
 
-  void encode(ByteWriter& w) const {
-    w.u32(cic);
-    w.msisdn(calling);
-    w.msisdn(called);
-  }
-  Status decode(ByteReader& r) {
-    cic = r.u32();
-    calling = r.msisdn();
-    called = r.msisdn();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.cic, self.calling, self.called);
   }
   [[nodiscard]] std::string describe() const {
     return "{cic=" + std::to_string(cic) + " " + calling.to_string() +
@@ -37,11 +29,7 @@ struct IsupIamInfo {
 struct IsupCicInfo {
   Cic cic = 0;
 
-  void encode(ByteWriter& w) const { w.u32(cic); }
-  Status decode(ByteReader& r) {
-    cic = r.u32();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.cic); }
   [[nodiscard]] std::string describe() const {
     return "{cic=" + std::to_string(cic) + "}";
   }
@@ -51,15 +39,7 @@ struct IsupRelInfo {
   Cic cic = 0;
   std::uint8_t cause = 16;  // normal clearing
 
-  void encode(ByteWriter& w) const {
-    w.u32(cic);
-    w.u8(cause);
-  }
-  Status decode(ByteReader& r) {
-    cic = r.u32();
-    cause = r.u8();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.cic, self.cause); }
   [[nodiscard]] std::string describe() const {
     return "{cic=" + std::to_string(cic) +
            " cause=" + std::to_string(cause) + "}";
@@ -71,16 +51,8 @@ struct TrunkVoiceInfo {
   std::uint32_t seq = 0;
   std::int64_t origin_us = 0;
 
-  void encode(ByteWriter& w) const {
-    w.u32(cic);
-    w.u32(seq);
-    w.u64(static_cast<std::uint64_t>(origin_us));
-  }
-  Status decode(ByteReader& r) {
-    cic = r.u32();
-    seq = r.u32();
-    origin_us = static_cast<std::int64_t>(r.u64());
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.cic, self.seq, self.origin_us);
   }
   [[nodiscard]] std::string describe() const {
     return "{cic=" + std::to_string(cic) + " #" + std::to_string(seq) + "}";

@@ -73,7 +73,7 @@ void PstnSwitch::on_message(const Envelope& env) {
     }
     counters_.bump(std::string("iam.") + to_string(klass));
     legs_[iam->cic] = Leg{env.from, next};
-    send(next, MessagePtr(msg.clone()));
+    send(next, env.msg);
     return;
   }
 
@@ -85,7 +85,7 @@ void PstnSwitch::on_message(const Envelope& env) {
     NodeId peer =
         env.from == it->second.upstream ? it->second.downstream
                                         : it->second.upstream;
-    send(peer, MessagePtr(msg.clone()));
+    send(peer, env.msg);
     return true;
   };
 

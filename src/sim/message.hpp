@@ -31,8 +31,8 @@ class Message {
  public:
   virtual ~Message() = default;
 
-  // All message instances — registry factories, clone(), direct new — come
-  // from the thread-cached message pool (sim/arena.hpp), so steady-state
+  // All message instances — registry factories, direct new — come from
+  // the thread-cached message pool (sim/arena.hpp), so steady-state
   // dispatch recycles blocks instead of hitting the global heap.  The
   // placement forms restore the globals these class-scope overloads hide.
   static void* operator new(std::size_t n) { return pool_alloc(n); }
@@ -45,7 +45,6 @@ class Message {
 
   [[nodiscard]] virtual std::uint16_t wire_type() const = 0;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<Message> clone() const = 0;
 
   virtual void encode_payload(ByteWriter& w) const = 0;
   virtual Status decode_payload(ByteReader& r) = 0;

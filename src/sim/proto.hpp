@@ -1,16 +1,26 @@
 // ProtoMessage: declarative definition of wire messages.
 //
-// A protocol family defines plain payload structs with encode / decode /
-// describe members, then instantiates ProtoMessage aliases that bind a
-// payload to a unique wire type and the on-the-wire name used in traces:
+// A protocol family defines plain payload structs that list their fields
+// once, in wire order, and describe themselves for traces.  ProtoMessage
+// aliases bind a payload to a unique wire type and the on-the-wire name
+// used in traces:
 //
 //   struct LocationUpdateInfo {
-//     Imsi imsi; ...
-//     void encode(ByteWriter&) const; Status decode(ByteReader&);
+//     Imsi imsi;
+//     Tmsi tmsi;
+//     LocationAreaId lai;
+//     CellId cell;
+//     static auto fields(auto& self) {
+//       return std::tie(self.imsi, self.tmsi, self.lai, self.cell);
+//     }
 //     std::string describe() const;
 //   };
 //   using UmLocationUpdateRequest =
 //       ProtoMessage<LocationUpdateInfo, 0x0103, "Um_Location_Update_Request">;
+//
+// Encoding and decoding both walk the field list, through each field
+// type's one write/read pair (common/bytes.hpp), so a payload cannot encode
+// differently from how it decodes.
 //
 // The payload is a public base so its fields read as direct members of the
 // message.  Distinct aliases of the same payload are distinct C++ types,
@@ -20,6 +30,7 @@
 #include <algorithm>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "sim/message.hpp"
 
@@ -41,8 +52,7 @@ struct FixedString {
 
 /// Payload for messages that carry no parameters.
 struct EmptyPayload {
-  void encode(ByteWriter&) const {}
-  Status decode(ByteReader&) { return Status::ok_status(); }
+  static auto fields(auto&) { return std::tie(); }
   [[nodiscard]] std::string describe() const { return {}; }
 };
 
@@ -94,7 +104,7 @@ std::uint64_t correlation_of(const P& p) {
 
 }  // namespace detail
 
-template <typename Payload, std::uint16_t WireType, FixedString Name>
+template <FieldList Payload, std::uint16_t WireType, FixedString Name>
 class ProtoMessage final : public Message, public Payload {
  public:
   static constexpr std::uint16_t kWireType = WireType;
@@ -104,19 +114,16 @@ class ProtoMessage final : public Message, public Payload {
   ProtoMessage() = default;
   explicit ProtoMessage(Payload payload) : Payload(std::move(payload)) {}
 
-  // Message::encode() (full wire form) wins over the payload's
-  // field-level encode(ByteWriter&), which stays reachable as
-  // Payload::encode.
-  using Message::encode;
-
   [[nodiscard]] std::uint16_t wire_type() const override { return kWireType; }
   [[nodiscard]] std::string_view name() const override { return kName; }
-  [[nodiscard]] std::unique_ptr<Message> clone() const override {
-    return std::make_unique<ProtoMessage>(*this);
-  }
 
-  void encode_payload(ByteWriter& w) const override { Payload::encode(w); }
-  Status decode_payload(ByteReader& r) override { return Payload::decode(r); }
+  void encode_payload(ByteWriter& w) const override {
+    write(w, static_cast<const Payload&>(*this));
+  }
+  Status decode_payload(ByteReader& r) override {
+    read(r, static_cast<Payload&>(*this));
+    return r.status();
+  }
 
   [[nodiscard]] std::string summary() const override {
     std::string desc = Payload::describe();

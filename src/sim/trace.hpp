@@ -39,9 +39,6 @@ class TraceNote final : public Message {
 
   [[nodiscard]] std::uint16_t wire_type() const override { return kWireType; }
   [[nodiscard]] std::string_view name() const override { return what; }
-  [[nodiscard]] std::unique_ptr<Message> clone() const override {
-    return std::make_unique<TraceNote>(*this);
-  }
   [[nodiscard]] std::string summary() const override { return detail; }
   // Never sent: the btrace writer stores a note as a kFault record.
   void encode_payload(ByteWriter&) const override {}

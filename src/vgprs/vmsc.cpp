@@ -354,9 +354,11 @@ bool Vmsc::handle_gprs(const Envelope& env) {
 
   if (const auto* acc = msg_cast<GprsAttachAccept>(&msg)) {
     retx().ack(retx_key(RetxKind::kGprsAttach, acc->imsi));
-    VgprsState& vs = vstate(acc->imsi);
-    if (vs.phase != VgprsState::Phase::kAttaching) return true;
-    enter_phase(acc->imsi, vs, VgprsState::Phase::kActivatingSignaling);
+    VgprsState* vs = vgprs_states_.find(acc->imsi);
+    if (vs == nullptr || vs->phase != VgprsState::Phase::kAttaching) {
+      return true;
+    }
+    enter_phase(acc->imsi, *vs, VgprsState::Phase::kActivatingSignaling);
     activate_signaling_context(acc->imsi);
     return true;
   }
@@ -377,7 +379,11 @@ bool Vmsc::handle_gprs(const Envelope& env) {
                         acc->imsi));
     net().spans().close(SpanKind::kPdpActivation, acc->imsi.value(),
                         SpanOutcome::kOk, now());
-    VgprsState& vs = vstate(acc->imsi);
+    // An answer for a subscriber this VMSC has forgotten is dropped: its
+    // GPRS detach removes the context at the SGSN.
+    VgprsState* found = vgprs_states_.find(acc->imsi);
+    if (found == nullptr) return true;
+    VgprsState& vs = *found;
     if (acc->nsapi == kVoiceNsapi) {
       // The call may have been released while the activation was in
       // flight; a voice context without an active call is torn down
@@ -447,13 +453,14 @@ bool Vmsc::handle_gprs(const Envelope& env) {
                         acc->imsi));
     net().spans().close(SpanKind::kPdpDeactivation, acc->imsi.value(),
                         SpanOutcome::kOk, now());
-    VgprsState& vs = vstate(acc->imsi);
+    VgprsState* vs = vgprs_states_.find(acc->imsi);
+    if (vs == nullptr) return true;  // forgotten while the delete ran
     if (acc->nsapi == kVoiceNsapi) {
-      vs.voice_active = false;
-      vs.voice_ip = IpAddress{};
+      vs->voice_active = false;
+      vs->voice_ip = IpAddress{};
     } else {
-      vs.signaling_active = false;
-      vs.signaling_ip = IpAddress{};
+      vs->signaling_active = false;
+      vs->signaling_ip = IpAddress{};
     }
     return true;
   }

@@ -14,20 +14,9 @@ struct RtpPacketInfo {
   std::int64_t origin_us = 0;    // simulation-side latency probe
   std::uint16_t payload_bytes = 33;
 
-  void encode(ByteWriter& w) const {
-    w.u32(ssrc);
-    w.u32(seq);
-    w.u32(timestamp);
-    w.u64(static_cast<std::uint64_t>(origin_us));
-    w.u16(payload_bytes);
-  }
-  Status decode(ByteReader& r) {
-    ssrc = r.u32();
-    seq = r.u32();
-    timestamp = r.u32();
-    origin_us = static_cast<std::int64_t>(r.u64());
-    payload_bytes = r.u16();
-    return r.status();
+  static auto fields(auto& self) {
+    return std::tie(self.ssrc, self.seq, self.timestamp, self.origin_us,
+                    self.payload_bytes);
   }
   [[nodiscard]] std::string describe() const {
     return "{ssrc=" + std::to_string(ssrc) + " #" + std::to_string(seq) +

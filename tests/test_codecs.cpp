@@ -28,12 +28,6 @@ TEST_P(CodecSweep, EncodeDecodeReencodeIsStable) {
   EXPECT_EQ(decoded.value()->encode(), wire) << reg.name_of(GetParam());
 }
 
-TEST_P(CodecSweep, CloneEncodesIdentically) {
-  auto msg = MessageRegistry::instance().create(GetParam());
-  ASSERT_NE(msg, nullptr);
-  EXPECT_EQ(msg->clone()->encode(), msg->encode());
-}
-
 TEST_P(CodecSweep, EveryTruncationFailsGracefully) {
   const auto& reg = MessageRegistry::instance();
   auto msg = reg.create(GetParam());

@@ -65,38 +65,58 @@ TEST(IdsTest, HashDistinctness) {
   EXPECT_EQ(ips.size(), 1000u);
 }
 
+/// Reads one field through its wire form.
+template <typename T>
+T read_field(ByteReader& r) {
+  T v{};
+  read(r, v);
+  return v;
+}
+
 TEST(BytesTest, ScalarRoundTrip) {
   ByteWriter w;
   w.u8(0xAB);
   w.u16(0xCDEF);
   w.u32(0x12345678);
   w.u64(0x0123456789ABCDEFULL);
-  w.boolean(true);
+  write(w, true);
+  write(w, std::int64_t{-5});
   w.str("hello");
   ByteReader r(w.data());
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u16(), 0xCDEF);
   EXPECT_EQ(r.u32(), 0x12345678u);
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
-  EXPECT_TRUE(r.boolean());
+  EXPECT_TRUE(read_field<bool>(r));
+  EXPECT_EQ(read_field<std::int64_t>(r), -5);
   EXPECT_EQ(r.str(), "hello");
   EXPECT_TRUE(r.exhausted());
 }
 
 TEST(BytesTest, IdentifierRoundTrip) {
   ByteWriter w;
-  w.imsi(Imsi(466920123456789ULL, 15));
-  w.msisdn(Msisdn(440900000001ULL, 12));
-  w.transport(TransportAddress(IpAddress(10, 1, 0, 3), 1720));
-  w.teid(TunnelId(0xDEADBEEF));
-  w.nsapi(Nsapi(6));
+  write(w, Imsi(466920123456789ULL, 15));
+  write(w, Msisdn(440900000001ULL, 12));
+  write(w, TransportAddress(IpAddress(10, 1, 0, 3), 1720));
+  write(w, TunnelId(0xDEADBEEF));
+  write(w, Nsapi(6));
   ByteReader r(w.data());
-  EXPECT_EQ(r.imsi(), Imsi(466920123456789ULL, 15));
-  EXPECT_EQ(r.msisdn(), Msisdn(440900000001ULL, 12));
-  EXPECT_EQ(r.transport(), TransportAddress(IpAddress(10, 1, 0, 3), 1720));
-  EXPECT_EQ(r.teid(), TunnelId(0xDEADBEEF));
-  EXPECT_EQ(r.nsapi(), Nsapi(6));
+  EXPECT_EQ(read_field<Imsi>(r), Imsi(466920123456789ULL, 15));
+  EXPECT_EQ(read_field<Msisdn>(r), Msisdn(440900000001ULL, 12));
+  EXPECT_EQ(read_field<TransportAddress>(r),
+            TransportAddress(IpAddress(10, 1, 0, 3), 1720));
+  EXPECT_EQ(read_field<TunnelId>(r), TunnelId(0xDEADBEEF));
+  EXPECT_EQ(read_field<Nsapi>(r), Nsapi(6));
   EXPECT_TRUE(r.exhausted());
+}
+
+TEST(BytesTest, NonCanonicalBooleanIsRefused) {
+  const std::vector<std::uint8_t> two{0x02};
+  ByteReader r(two);
+  (void)read_field<bool>(r);
+  EXPECT_FALSE(r.failed());
+  ASSERT_FALSE(r.status().ok());
+  EXPECT_EQ(r.status().error().code, ErrorCode::kDecodeBadValue);
 }
 
 TEST(BytesTest, TruncatedReadFailsSafely) {

@@ -239,6 +239,25 @@ TEST(MobilityTest, PowerOffDuringCallReleasesFirst) {
   EXPECT_EQ(w.s->net.spans().count(SpanKind::kPdpDeactivation,
                                    SpanOutcome::kRejected),
             1u);
+  // The detach leaves the voice context to its in-flight delete, which
+  // answers the VMSC; the VMSC drops that answer for the subscriber it
+  // already forgot instead of re-creating its entry.
+  std::size_t voice_deletes = 0;
+  std::size_t voice_deactivate_accepts = 0;
+  w.s->net.trace().for_each([&](const TraceEntry& e) {
+    if (const auto* d = msg_cast<GtpDeletePdpContextRequest>(e.msg)) {
+      voice_deletes += d->nsapi == Nsapi(6) ? 1 : 0;
+    }
+    if (const auto* a = msg_cast<DeactivatePdpContextAccept>(e.msg)) {
+      voice_deactivate_accepts += a->nsapi == Nsapi(6) ? 1 : 0;
+    }
+  });
+  EXPECT_EQ(voice_deletes, 1u);
+  EXPECT_EQ(voice_deactivate_accepts, 1u);
+  EXPECT_EQ(w.s->vmsc->vgprs_state(ms.config().imsi), nullptr);
+  // Powering off abandons the release hangup() began: its span closes.
+  EXPECT_EQ(w.s->net.spans().open_count(), 0u)
+      << w.s->net.spans().open_to_string();
 }
 
 }  // namespace

@@ -353,7 +353,7 @@ TEST(ShardedEngine, NoActiveCrossShardLinksFallsBackToFullWindow) {
     NodeId peer;
     std::int64_t remaining = 0;
     void on_message(const Envelope& env) override {
-      if (remaining-- > 0) send(peer, MessagePtr(env.msg->clone()));
+      if (remaining-- > 0) send(peer, env.msg);
     }
   };
   std::vector<std::uint64_t> delivered;
@@ -398,7 +398,7 @@ TEST(ShardedEngine, PlannerIsDeterministicAndWorkerCountInvariant) {
     using Node::Node;
     std::int64_t budget = 0;
     void on_message(const Envelope& env) override {
-      if (budget-- > 0) send(env.from, MessagePtr(env.msg->clone()));
+      if (budget-- > 0) send(env.from, env.msg);
     }
   };
   LinkProfile trunk;

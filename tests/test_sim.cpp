@@ -19,11 +19,7 @@ namespace {
 
 struct PingInfo {
   std::uint32_t value = 0;
-  void encode(ByteWriter& w) const { w.u32(value); }
-  Status decode(ByteReader& r) {
-    value = r.u32();
-    return r.status();
-  }
+  static auto fields(auto& self) { return std::tie(self.value); }
   [[nodiscard]] std::string describe() const {
     return "{" + std::to_string(value) + "}";
   }
@@ -39,7 +35,7 @@ class Probe final : public Node {
   void on_message(const Envelope& env) override {
     arrivals.push_back(now());
     values.push_back(dynamic_cast<const Ping&>(*env.msg).value);
-    if (echo_) send(env.from, MessagePtr(env.msg->clone()));
+    if (echo_) send(env.from, env.msg);
   }
   void on_timer(TimerId, std::uint64_t cookie) override {
     timer_cookies.push_back(cookie);
