@@ -7,7 +7,9 @@
 // stays flat without manual trace clearing.
 //
 // `--json <path>` additionally writes the shared vgprs.bench.v1 summary
-// (events/s, registrations/s, calls/s, codec ns/op) for CI perf tracking.
+// (events/s, registrations/s, calls/s, codec ns/op) for CI perf tracking,
+// plus exact work counters per registration and per call from a fixed,
+// untimed pass, which CI compares exactly.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -257,17 +259,16 @@ BENCHMARK(BM_CodecRoundTrip);
 
 void BM_NestedTunnelEncapsulation(benchmark::State& state) {
   register_all_messages();
-  RasArq arq;
-  arq.called = Msisdn(880900000001ULL, 12);
+  auto arq = pool_message<RasArq>();
+  arq->called = Msisdn(880900000001ULL, 12);
   for (auto _ : state) {
-    auto dgram = make_ip_datagram(IpAddress(10, 1, 0, 1),
+    auto pdu = pool_message<GtpPdu>();
+    pdu->teid = TunnelId(1);
+    pdu->inner = make_ip_datagram(IpAddress(10, 1, 0, 1),
                                   IpAddress(192, 168, 1, 1), arq);
-    GtpPdu pdu;
-    pdu.teid = TunnelId(1);
-    pdu.payload = dgram->encode();
     GbUnitData frame;
     frame.imsi = Imsi(466920000000001ULL, 15);
-    frame.payload = pdu.encode();
+    frame.inner = std::move(pdu);
     auto wire = frame.encode();
     benchmark::DoNotOptimize(wire);
   }
@@ -421,6 +422,56 @@ void summarize(const std::vector<benchmark::BenchmarkReporter::Run>& runs,
   }
 }
 
+/// Adds events, wire bytes and timers fired per operation between two
+/// snapshots of one network as (scenario, <what>_per_<op>, count/<op>)
+/// rows.  They count work, not time: any host reproduces them exactly.
+void add_exact_rows(bench::JsonReport& report, const std::string& scenario,
+                    const std::string& op, const NetworkStats& before,
+                    const NetworkStats& after, double ops) {
+  const auto add = [&](const char* what, std::uint64_t from,
+                       std::uint64_t to) {
+    report.add(scenario, std::string(what) + "_per_" + op, "count/" + op,
+               static_cast<double>(to - from) / ops);
+  };
+  add("events", before.messages_delivered, after.messages_delivered);
+  add("wire_bytes", before.bytes_on_wire, after.bytes_on_wire);
+  add("timers_fired", before.timers_fired, after.timers_fired);
+}
+
+/// The untimed pass behind the exact rows: one BM_VgprsRegistration/64
+/// iteration, and 16 cycles of BM_VgprsCallCycle/0 after its setup.
+void exact_counters(bench::JsonReport& report) {
+  {
+    VgprsParams params;
+    params.num_ms = 64;
+    auto s = build_vgprs(params);
+    s->net.trace().set_mode(TraceMode::kDisabled);
+    const NetworkStats before = s->net.stats();
+    for (auto* ms : s->ms) ms->power_on();
+    s->settle();
+    add_exact_rows(report, "registration_64ms", "registration", before,
+                   s->net.stats(), params.num_ms);
+  }
+  {
+    auto s = build_vgprs(VgprsParams{});
+    s->net.trace().set_mode(TraceMode::kDisabled);
+    s->ms[0]->power_on();
+    s->terminals[0]->register_endpoint();
+    s->settle();
+    const Msisdn callee = make_subscriber(88, 1000).msisdn;
+    const NetworkStats before = s->net.stats();
+    constexpr int kCalls = 16;
+    for (int i = 0; i < kCalls; ++i) {
+      s->ms[0]->dial(callee);
+      s->settle();
+      s->ms[0]->hangup();
+      s->settle();
+    }
+    add_exact_rows(report, "call_cycle", "call", before, s->net.stats(),
+                   kCalls);
+  }
+}
+
 }  // namespace
 }  // namespace vgprs
 
@@ -436,6 +487,7 @@ int main(int argc, char** argv) {
   vgprs::CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   vgprs::summarize(reporter.runs(), report);
+  vgprs::exact_counters(report);
   benchmark::Shutdown();
   return report.write("capacity") ? 0 : 1;
 }

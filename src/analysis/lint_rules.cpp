@@ -219,7 +219,7 @@ void check_registry(const MessageRegistry& reg, Report& report) {
                       std::to_string(rule->family) + "xx");
     }
 
-    std::unique_ptr<Message> msg = reg.create(type);
+    std::shared_ptr<Message> msg = reg.create(type);
     if (msg == nullptr) {
       report.fail("registry",
                   "'" + name + "': factory returned null");
@@ -242,7 +242,7 @@ void check_registry(const MessageRegistry& reg, Report& report) {
 void check_codec(const MessageRegistry& reg, Report& report) {
   for (std::uint16_t type : reg.types()) {
     std::string name(reg.name_of(type));
-    std::unique_ptr<Message> proto = reg.create(type);
+    std::shared_ptr<Message> proto = reg.create(type);
     if (proto == nullptr) continue;  // reported by the registry rule
 
     // 1. Default-payload roundtrip: encode -> decode -> re-encode must be
@@ -346,7 +346,7 @@ void check_correlation(const MessageRegistry& reg,
       auto it = by_name.find(step.message);
       if (it == by_name.end()) continue;  // the flows rule reports these
       if (!checked.insert(step.message).second) continue;
-      std::unique_ptr<Message> msg = reg.create(it->second);
+      std::shared_ptr<Message> msg = reg.create(it->second);
       if (msg == nullptr) continue;  // the registry rule reports these
       const bool exempted = exempt.contains(step.message);
       if (exempted) used.insert(*exempt.find(step.message));

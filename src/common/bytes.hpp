@@ -38,15 +38,17 @@ class ByteWriter {
   /// IEEE-754 double, bit-exact (the binary trace's metric records must
   /// round-trip values the JSON exporters then format identically).
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  /// Length-prefixed (u16) byte blob.
-  void bytes(std::span<const std::uint8_t> data) {
-    u16(static_cast<std::uint16_t>(data.size()));
-    buf_.insert(buf_.end(), data.begin(), data.end());
-  }
   /// Length-prefixed (u16) UTF-8 string.
   void str(std::string_view s) {
     u16(static_cast<std::uint16_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
+  }
+
+  /// Overwrites the u16 at `pos`: a length prefix written before the
+  /// contents it counts.
+  void patch_u16(std::size_t pos, std::uint16_t v) {
+    buf_[pos] = static_cast<std::uint8_t>(v >> 8);
+    buf_[pos + 1] = static_cast<std::uint8_t>(v);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
@@ -65,8 +67,12 @@ class ByteWriter {
 
 class ByteReader {
  public:
-  explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
+  /// `depth` counts the messages this buffer is nested in (0 for a frame
+  /// off a link); the nested-message field bounds it.
+  explicit ByteReader(std::span<const std::uint8_t> data, unsigned depth = 0)
+      : data_(data), depth_(depth) {}
 
+  [[nodiscard]] unsigned depth() const { return depth_; }
   [[nodiscard]] bool failed() const { return failed_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   /// True when the whole buffer was consumed without error.
@@ -94,11 +100,11 @@ class ByteReader {
     return (hi << 32) | lo;
   }
   double f64() { return std::bit_cast<double>(u64()); }
-  std::vector<std::uint8_t> bytes() {
+  /// Length-prefixed (u16) byte blob, as a view into the buffer.
+  std::span<const std::uint8_t> bytes() {
     std::uint16_t n = u16();
     if (!require(n)) return {};
-    std::vector<std::uint8_t> out(data_.begin() + static_cast<long>(pos_),
-                                  data_.begin() + static_cast<long>(pos_ + n));
+    std::span<const std::uint8_t> out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
@@ -131,6 +137,7 @@ class ByteReader {
   }
 
   std::span<const std::uint8_t> data_;
+  unsigned depth_ = 0;
   std::size_t pos_ = 0;
   bool failed_ = false;
   bool bad_value_ = false;
@@ -187,20 +194,21 @@ void read(ByteReader& r, E& v) {
 
 inline void write(ByteWriter& w, const std::string& v) { w.str(v); }
 inline void read(ByteReader& r, std::string& v) { v = r.str(); }
-inline void write(ByteWriter& w, const std::vector<std::uint8_t>& v) {
-  w.bytes(v);
-}
-inline void read(ByteReader& r, std::vector<std::uint8_t>& v) {
-  v = r.bytes();
-}
 
 inline void write(ByteWriter& w, const Imsi& v) {
   w.u64(v.value());
   w.u8(v.digits());
 }
+/// An identity's digit count is at most kMaxIdentityDigits, the most
+/// parse() accepts; a larger count is out of domain, as for bool.
+inline std::uint8_t read_digit_count(ByteReader& r) {
+  std::uint8_t digits = r.u8();
+  if (digits > kMaxIdentityDigits) r.mark_bad_value();
+  return digits;
+}
 inline void read(ByteReader& r, Imsi& v) {
   std::uint64_t value = r.u64();
-  v = Imsi(value, r.u8());
+  v = Imsi(value, read_digit_count(r));
 }
 inline void write(ByteWriter& w, const Msisdn& v) {
   w.u64(v.value());
@@ -208,7 +216,7 @@ inline void write(ByteWriter& w, const Msisdn& v) {
 }
 inline void read(ByteReader& r, Msisdn& v) {
   std::uint64_t value = r.u64();
-  v = Msisdn(value, r.u8());
+  v = Msisdn(value, read_digit_count(r));
 }
 inline void write(ByteWriter& w, const Tmsi& v) { w.u32(v.value()); }
 inline void read(ByteReader& r, Tmsi& v) { v = Tmsi(r.u32()); }

@@ -30,7 +30,7 @@ std::string format_digits(std::uint64_t value, std::uint8_t digits) {
 }  // namespace
 
 std::optional<Imsi> Imsi::parse(std::string_view text) {
-  auto value = parse_digits(text, 15);
+  auto value = parse_digits(text, kMaxIdentityDigits);
   if (!value || *value == 0) return std::nullopt;
   return Imsi(*value, static_cast<std::uint8_t>(text.size()));
 }
@@ -50,7 +50,7 @@ std::string Tmsi::to_string() const {
 }
 
 std::optional<Msisdn> Msisdn::parse(std::string_view text) {
-  auto value = parse_digits(text, 15);
+  auto value = parse_digits(text, kMaxIdentityDigits);
   if (!value || *value == 0) return std::nullopt;
   return Msisdn(*value, static_cast<std::uint8_t>(text.size()));
 }

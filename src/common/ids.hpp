@@ -16,6 +16,9 @@
 
 namespace vgprs {
 
+/// The most digits an IMSI or an MSISDN has (E.212, E.164).
+inline constexpr std::uint8_t kMaxIdentityDigits = 15;
+
 /// International Mobile Subscriber Identity: up to 15 decimal digits
 /// (MCC + MNC + MSIN).  Stored as a packed integer; the digit count is
 /// preserved so formatting round-trips.

@@ -1,18 +1,10 @@
 #include "gprs/data_ms.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
 
 void register_data_messages() { register_message<DataPing>(); }
-
-NodeId GprsDataMs::sgsn() const {
-  Node* n = net().node_by_name(config_.sgsn_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no SGSN");
-  return n->id();
-}
 
 void GprsDataMs::power_on() {
   if (state_ != State::kDetached) return;
@@ -33,13 +25,12 @@ void GprsDataMs::start_pings(IpAddress server, std::uint32_t count,
 void GprsDataMs::send_ping() {
   if (pings_remaining_ == 0 || state_ != State::kOnline) return;
   --pings_remaining_;
-  DataPing ping;
-  ping.seq = ++ping_seq_;
-  ping.origin_us = now().count_micros();
-  auto dgram = make_ip_datagram(address_, server_, ping);
+  auto ping = pool_message<DataPing>();
+  ping->seq = ++ping_seq_;
+  ping->origin_us = now().count_micros();
   auto frame = pool_message<GbUnitData>();
   frame->imsi = config_.imsi;
-  frame->payload = dgram->encode();
+  frame->inner = make_ip_datagram(address_, server_, std::move(ping));
   send(sgsn(), std::move(frame));
   if (pings_remaining_ > 0) ping_timer_ = set_timer(ping_interval_);
 }
@@ -87,13 +78,9 @@ void GprsDataMs::on_message(const Envelope& env) {
     return;
   }
   if (const auto* frame = msg_cast<GbUnitData>(&msg)) {
-    auto decoded = MessageRegistry::instance().decode(frame->payload);
-    if (!decoded.ok()) return;
-    const auto* dgram = msg_cast<IpDatagram>(decoded.value().get());
+    const auto* dgram = msg_cast<IpDatagram>(frame->inner.get());
     if (dgram == nullptr) return;
-    auto inner = ip_payload(*dgram);
-    if (!inner.ok()) return;
-    if (const auto* ping = msg_cast<DataPing>(inner.value().get());
+    if (const auto* ping = msg_cast<DataPing>(dgram->inner.get());
         ping != nullptr && ping->response) {
       ++echoes_;
       rtt_.add(SimDuration::micros(now().count_micros() - ping->origin_us));
@@ -107,16 +94,14 @@ void GprsDataMs::on_message(const Envelope& env) {
 void EchoServer::on_message(const Envelope& env) {
   const auto* dgram = msg_cast<IpDatagram>(env.msg.get());
   if (dgram == nullptr) return;
-  auto inner = ip_payload(*dgram);
-  if (!inner.ok()) return;
-  const auto* ping = msg_cast<DataPing>(inner.value().get());
+  const auto* ping = msg_cast<DataPing>(dgram->inner.get());
   if (ping == nullptr || ping->response) return;
   ++served_;
-  DataPing echo = *ping;
-  echo.response = true;
+  auto echo = pool_message<DataPing>(*ping);
+  echo->response = true;
   Node* router = net().node_by_name(router_name_);
   if (router == nullptr) return;
-  send(router->id(), make_ip_datagram(ip_, dgram->src, echo));
+  send(router->id(), make_ip_datagram(ip_, dgram->src, std::move(echo)));
 }
 
 }  // namespace vgprs

@@ -63,7 +63,7 @@ class GprsDataMs final : public Node {
   void on_timer(TimerId id, std::uint64_t cookie) override;
 
  private:
-  [[nodiscard]] NodeId sgsn() const;
+  [[nodiscard]] NodeId sgsn() const { return peer(config_.sgsn_name); }
   void send_ping();
 
   Config config_;

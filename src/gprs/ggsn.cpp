@@ -1,7 +1,5 @@
 #include "gprs/ggsn.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
@@ -15,30 +13,12 @@ const Ggsn::PdpContext* Ggsn::context_by_address(IpAddress address) const {
   return it == by_address_.end() ? nullptr : &contexts_.at(it->second);
 }
 
-NodeId Ggsn::router() const {
-  Node* n = net().node_by_name(config_.router_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no router");
-  return n->id();
-}
-
-NodeId Ggsn::hlr() const {
-  Node* n = net().node_by_name(config_.hlr_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no HLR");
-  return n->id();
-}
-
 void Ggsn::on_attached() {
   net().register_ip(config_.ggsn_address, id());
 }
 
 void Ggsn::handle_control(const IpDatagramInfo& dgram) {
-  auto inner = ip_payload(dgram);
-  if (!inner.ok()) {
-    VG_WARN("ggsn", name() << ": bad control payload: "
-                           << inner.error().to_string());
-    return;
-  }
-  if (const auto* act = msg_cast<GgsnActivationRequest>(inner.value().get())) {
+  if (const auto* act = msg_cast<GgsnActivationRequest>(dgram.inner.get())) {
     // TR 23.821: the gatekeeper asks us to establish a routing path toward
     // an idle subscriber.  Find the serving SGSN via the HLR (Gc) and fire
     // a PDU notification so the MS activates its (static) PDP address.
@@ -48,8 +28,8 @@ void Ggsn::handle_control(const IpDatagramInfo& dgram) {
     send(hlr(), std::move(query));
     return;
   }
-  VG_WARN("ggsn", name() << ": unexpected control message "
-                         << inner.value()->name());
+  VG_WARN("ggsn", name() << ": unexpected control datagram "
+                         << dgram.describe());
 }
 
 void Ggsn::on_message(const Envelope& env) {
@@ -101,8 +81,8 @@ void Ggsn::on_message(const Envelope& env) {
       done->imsi = req->imsi;
       done->address = address;
       done->success = true;
-      send(router(),
-           make_ip_datagram(config_.ggsn_address, pending->second, *done));
+      send(router(), make_ip_datagram(config_.ggsn_address, pending->second,
+                                      std::move(done)));
       pending_activations_.erase(pending);
     }
     return;
@@ -132,9 +112,7 @@ void Ggsn::on_message(const Envelope& env) {
       VG_WARN("ggsn", name() << ": PDU on unknown " << pdu->teid.to_string());
       return;
     }
-    auto decoded = MessageRegistry::instance().decode(pdu->payload);
-    if (!decoded.ok()) return;
-    const auto* dgram = msg_cast<IpDatagram>(decoded.value().get());
+    const auto* dgram = msg_cast<IpDatagram>(pdu->inner.get());
     if (dgram == nullptr) return;
     ++pdus_forwarded_;
     if (dgram->dst == config_.ggsn_address) {
@@ -146,11 +124,11 @@ void Ggsn::on_message(const Envelope& env) {
       const PdpContext& dst_ctx = contexts_.at(hairpin->second);
       auto down = pool_message<GtpPdu>();
       down->teid = dst_ctx.sgsn_teid;
-      down->payload = pdu->payload;
+      down->inner = pdu->inner;
       send(dst_ctx.sgsn, std::move(down));
       return;
     }
-    send(router(), MessagePtr(std::move(decoded).value()));
+    send(router(), pdu->inner);
     return;
   }
 
@@ -170,7 +148,7 @@ void Ggsn::on_message(const Envelope& env) {
     ++pdus_forwarded_;
     auto pdu = pool_message<GtpPdu>();
     pdu->teid = ctx.sgsn_teid;
-    pdu->payload = msg.encode();
+    pdu->inner = env.msg;
     send(ctx.sgsn, std::move(pdu));
     return;
   }
@@ -182,8 +160,8 @@ void Ggsn::on_message(const Envelope& env) {
       auto rsp = pool_message<GgsnActivationResponse>();
       rsp->imsi = ack->imsi;
       rsp->success = false;
-      send(router(),
-           make_ip_datagram(config_.ggsn_address, pending->second, *rsp));
+      send(router(), make_ip_datagram(config_.ggsn_address, pending->second,
+                                      std::move(rsp)));
       pending_activations_.erase(pending);
     };
     if (!ack->found) {

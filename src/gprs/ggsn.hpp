@@ -58,8 +58,8 @@ class Ggsn final : public Node {
   static std::uint64_t key(Imsi imsi, Nsapi nsapi) {
     return (imsi.value() << 4) | nsapi.value();
   }
-  [[nodiscard]] NodeId router() const;
-  [[nodiscard]] NodeId hlr() const;
+  [[nodiscard]] NodeId router() const { return peer(config_.router_name); }
+  [[nodiscard]] NodeId hlr() const { return peer(config_.hlr_name); }
   void handle_control(const IpDatagramInfo& dgram);
 
   Config config_;

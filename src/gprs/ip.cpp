@@ -5,28 +5,19 @@
 namespace vgprs {
 
 std::string IpDatagramInfo::describe() const {
-  // Peek at the inner wire type so traces show what the datagram carries.
-  std::string inner = "?";
-  if (payload.size() >= 2) {
-    std::uint16_t type = static_cast<std::uint16_t>(
-        (std::uint16_t{payload[0]} << 8) | payload[1]);
-    inner = std::string(MessageRegistry::instance().name_of(type));
-  }
-  return "{" + src.to_string() + " -> " + dst.to_string() + " [" + inner +
-         "]}";
+  // Name the inner type so traces show what the datagram carries.
+  const std::string_view carried = inner ? inner->name() : "?";
+  return "{" + src.to_string() + " -> " + dst.to_string() + " [" +
+         std::string(carried) + "]}";
 }
 
 std::shared_ptr<IpDatagram> make_ip_datagram(IpAddress src, IpAddress dst,
-                                             const Message& inner) {
+                                             MessagePtr inner) {
   auto dgram = pool_message<IpDatagram>();
   dgram->src = src;
   dgram->dst = dst;
-  dgram->payload = inner.encode();
+  dgram->inner = std::move(inner);
   return dgram;
-}
-
-Result<std::unique_ptr<Message>> ip_payload(const IpDatagramInfo& dgram) {
-  return MessageRegistry::instance().decode(dgram.payload);
 }
 
 void IpRouter::on_message(const Envelope& env) {

@@ -1,7 +1,7 @@
 // Minimal IP layer for the simulated Gi / external H.323 network: an
-// IpDatagram message that encapsulates any signaling Message as opaque
-// payload bytes, plus an IpRouter node modelling the flat IP cloud between
-// the GGSN and the H.323 world (Fig. 3 links (1), (2), (8)).
+// IpDatagram message that encapsulates any signaling Message, plus an
+// IpRouter node modelling the flat IP cloud between the GGSN and the H.323
+// world (Fig. 3 links (1), (2), (8)).
 #pragma once
 
 #include "common/ids.hpp"
@@ -14,10 +14,10 @@ struct IpDatagramInfo {
   IpAddress src;
   IpAddress dst;
   std::uint8_t protocol = 6;  // TCP (H.225/Q.931 ride on TCP), 17 = UDP
-  std::vector<std::uint8_t> payload;
+  MessagePtr inner;
 
   static auto fields(auto& self) {
-    return std::tie(self.src, self.dst, self.protocol, self.payload);
+    return std::tie(self.src, self.dst, self.protocol, self.inner);
   }
   [[nodiscard]] std::string describe() const;
 };
@@ -26,10 +26,7 @@ using IpDatagram = ProtoMessage<IpDatagramInfo, 0x0610, "IP_Datagram">;
 
 /// Encapsulates `inner` into a datagram from `src` to `dst`.
 std::shared_ptr<IpDatagram> make_ip_datagram(IpAddress src, IpAddress dst,
-                                             const Message& inner);
-
-/// Decodes the inner signaling message of a datagram.
-Result<std::unique_ptr<Message>> ip_payload(const IpDatagramInfo& dgram);
+                                             MessagePtr inner);
 
 /// The external IP cloud: forwards datagrams to the node registered as the
 /// owner of the destination address (Network::register_ip).

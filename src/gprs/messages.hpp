@@ -116,11 +116,11 @@ struct RequestPdpActivationInfo {
 /// BSS-side user (VMSC, or a GPRS MS through the PCU) and the SGSN.
 struct GbUnitDataInfo {
   Imsi imsi;  // stands in for the TLLI
-  std::vector<std::uint8_t> payload;
+  MessagePtr inner;
 
-  static auto fields(auto& self) { return std::tie(self.imsi, self.payload); }
+  static auto fields(auto& self) { return std::tie(self.imsi, self.inner); }
   [[nodiscard]] std::string describe() const {
-    return "{" + imsi.to_string() + " " + std::to_string(payload.size()) +
+    return "{" + imsi.to_string() + " " + std::to_string(wire_size(inner)) +
            "B}";
   }
 };
@@ -176,15 +176,15 @@ struct GtpDeletePdpInfo {
   }
 };
 
-/// GTP-U tunneled protocol data unit: an opaque IP datagram inside the
-/// GPRS backbone between SGSN and GGSN.
+/// GTP-U tunneled protocol data unit: an IP datagram inside the GPRS
+/// backbone between SGSN and GGSN.
 struct GtpPduInfo {
   TunnelId teid;
-  std::vector<std::uint8_t> payload;
+  MessagePtr inner;
 
-  static auto fields(auto& self) { return std::tie(self.teid, self.payload); }
+  static auto fields(auto& self) { return std::tie(self.teid, self.inner); }
   [[nodiscard]] std::string describe() const {
-    return "{" + teid.to_string() + " " + std::to_string(payload.size()) +
+    return "{" + teid.to_string() + " " + std::to_string(wire_size(inner)) +
            "B}";
   }
 };

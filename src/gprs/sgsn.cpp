@@ -1,7 +1,5 @@
 #include "gprs/sgsn.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 #include "gprs/ip.hpp"
 
@@ -16,18 +14,6 @@ void Sgsn::erase_context(const PdpContext& ctx) {
   retx_.ack(retx_key(RetxKind::kGtpDelete, ctx.imsi, ctx.nsapi));
   by_teid_.erase(ctx.sgsn_teid.value());
   contexts_.erase(key(ctx.imsi, ctx.nsapi));
-}
-
-NodeId Sgsn::ggsn() const {
-  Node* n = net().node_by_name(config_.ggsn_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no GGSN");
-  return n->id();
-}
-
-NodeId Sgsn::hlr() const {
-  Node* n = net().node_by_name(config_.hlr_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no HLR");
-  return n->id();
 }
 
 void Sgsn::on_message(const Envelope& env) {
@@ -300,12 +286,9 @@ void Sgsn::on_message(const Envelope& env) {
     // datagram source; fall back to the subscriber's other active context.
     // Two direct probes of the NSAPIs in use (5 = signaling, 6 = voice) —
     // this runs per tunneled packet, so it must not scan the context table.
-    auto decoded = MessageRegistry::instance().decode(up->payload);
     IpAddress src;
-    if (decoded.ok()) {
-      if (const auto* dgram = msg_cast<IpDatagram>(decoded.value().get())) {
-        src = dgram->src;
-      }
+    if (const auto* dgram = msg_cast<IpDatagram>(up->inner.get())) {
+      src = dgram->src;
     }
     const PdpContext* chosen = nullptr;
     for (std::uint8_t n : {std::uint8_t{5}, std::uint8_t{6}}) {
@@ -324,7 +307,7 @@ void Sgsn::on_message(const Envelope& env) {
     }
     auto pdu = pool_message<GtpPdu>();
     pdu->teid = chosen->ggsn_teid;
-    pdu->payload = up->payload;
+    pdu->inner = up->inner;
     send(ggsn(), std::move(pdu));
     return;
   }
@@ -338,7 +321,7 @@ void Sgsn::on_message(const Envelope& env) {
     const PdpContext& ctx = *contexts_.find(*ctx_key);
     auto down = pool_message<GbUnitData>();
     down->imsi = ctx.imsi;
-    down->payload = pdu->payload;
+    down->inner = pdu->inner;
     send(ctx.holder, std::move(down));
     return;
   }

@@ -84,8 +84,8 @@ class Sgsn final : public Node {
   /// Erases a PDP context.  The GTP create and delete exchanges served it
   /// and end with it.
   void erase_context(const PdpContext& ctx);
-  [[nodiscard]] NodeId ggsn() const;
-  [[nodiscard]] NodeId hlr() const;
+  [[nodiscard]] NodeId ggsn() const { return peer(config_.ggsn_name); }
+  [[nodiscard]] NodeId hlr() const { return peer(config_.hlr_name); }
 
   Config config_;
   Retransmitter retx_{*this};

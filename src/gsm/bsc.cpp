@@ -1,7 +1,5 @@
 #include "gsm/bsc.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 #include "gsm/bts.hpp"
 
@@ -17,14 +15,6 @@ void Bsc::initiate_handover(Imsi imsi, CallRef call_ref, CellId target_cell) {
   req->call_ref = call_ref;
   req->target_cell = target_cell;
   send(msc(), std::move(req));
-}
-
-NodeId Bsc::msc() const {
-  Node* n = net().node_by_name(config_.msc_name);
-  if (n == nullptr) {
-    throw std::logic_error(name() + ": no MSC " + config_.msc_name);
-  }
-  return n->id();
 }
 
 NodeId Bsc::bts_for(const Imsi& imsi) const {

@@ -51,7 +51,7 @@ class Bsc final : public Node {
     bool tch = false;
   };
 
-  [[nodiscard]] NodeId msc() const;
+  [[nodiscard]] NodeId msc() const { return peer(config_.msc_name); }
   [[nodiscard]] NodeId bts_for(const Imsi& imsi) const;
   void note_ms(const Imsi& imsi, NodeId bts) { ms_[imsi].bts = bts; }
   /// Frees whichever channels `imsi` holds.

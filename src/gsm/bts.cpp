@@ -1,16 +1,8 @@
 #include "gsm/bts.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
-
-NodeId Bts::bsc() const {
-  Node* n = net().node_by_name(bsc_name_);
-  if (n == nullptr) throw std::logic_error(name() + ": no BSC " + bsc_name_);
-  return n->id();
-}
 
 NodeId Bts::ms_node(const Imsi& imsi) const {
   auto it = ms_by_imsi_.find(imsi);

@@ -32,7 +32,7 @@ class Bts final : public Node {
   void on_message(const Envelope& env) override;
 
  private:
-  [[nodiscard]] NodeId bsc() const;
+  [[nodiscard]] NodeId bsc() const { return peer(bsc_name_); }
   void note_ms(const Imsi& imsi, NodeId node) { ms_by_imsi_[imsi] = node; }
   [[nodiscard]] NodeId ms_node(const Imsi& imsi) const;
 

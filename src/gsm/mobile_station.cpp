@@ -1,7 +1,5 @@
 #include "gsm/mobile_station.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
@@ -25,13 +23,7 @@ void MobileStation::start_step(MessagePtr msg) {
 }
 
 NodeId MobileStation::bts() const {
-  return bts_by_name(serving_bts_.empty() ? config_.bts_name : serving_bts_);
-}
-
-NodeId MobileStation::bts_by_name(const std::string& bts_name) const {
-  Node* n = net().node_by_name(bts_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no BTS " + bts_name);
-  return n->id();
+  return peer(serving_bts_.empty() ? config_.bts_name : serving_bts_);
 }
 
 void MobileStation::close_state_span(SpanOutcome outcome) {

@@ -103,7 +103,6 @@ class MobileStation final : public Node {
   void start_step(MessagePtr msg);
   void arm_guard();
   [[nodiscard]] NodeId bts() const;
-  [[nodiscard]] NodeId bts_by_name(const std::string& name) const;
   void fail(const std::string& reason);
   void send_voice_frame();
   /// Closes the span implied by the current procedure state (registration /

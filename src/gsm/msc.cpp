@@ -1,22 +1,8 @@
 #include "gsm/msc.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
-
-NodeId GsmMsc::pstn() const {
-  Node* n = net().node_by_name(config_.pstn_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no PSTN switch");
-  return n->id();
-}
-
-NodeId GsmMsc::hlr() const {
-  Node* n = net().node_by_name(config_.hlr_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no HLR");
-  return n->id();
-}
 
 bool GsmMsc::is_msrn(const Msisdn& called) const {
   return config_.msrn_prefix != 0 &&

@@ -56,8 +56,8 @@ class GsmMsc final : public MscBase {
     Msisdn calling;
   };
 
-  [[nodiscard]] NodeId pstn() const;
-  [[nodiscard]] NodeId hlr() const;
+  [[nodiscard]] NodeId pstn() const { return peer(config_.pstn_name); }
+  [[nodiscard]] NodeId hlr() const { return peer(config_.hlr_name); }
   [[nodiscard]] bool is_msrn(const Msisdn& called) const;
   void release_trunk_leg(MsContext& ctx, ClearCause cause);
   void handle_incoming_iam(const Envelope& env, const IsupIam& iam);

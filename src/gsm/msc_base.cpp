@@ -1,7 +1,5 @@
 #include "gsm/msc_base.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 #include "gsm/auth.hpp"
 
@@ -38,12 +36,6 @@ MscBase::MsContext* MscBase::context(Imsi imsi) {
 MscBase::MsContext* MscBase::context_by_call(CallRef call_ref) {
   const Imsi* imsi = call_index_.find(call_ref);
   return imsi == nullptr ? nullptr : context(*imsi);
-}
-
-NodeId MscBase::vlr() const {
-  Node* n = net().node_by_name(config_.vlr_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no VLR");
-  return n->id();
 }
 
 NodeId MscBase::downlink(const MsContext& ctx) const {

@@ -166,7 +166,7 @@ class MscBase : public Node {
   // --- helpers for subclasses ------------------------------------------------
   MsContext* context(Imsi imsi);
   MsContext* context_by_call(CallRef call_ref);
-  [[nodiscard]] NodeId vlr() const;
+  [[nodiscard]] NodeId vlr() const { return peer(config_.vlr_name); }
 
   /// Completes the registration procedure (sends Location Update Accept).
   void finish_registration(MsContext& ctx);

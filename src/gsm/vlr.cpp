@@ -1,19 +1,11 @@
 #include "gsm/vlr.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
 
 const Vlr::VisitorRecord* Vlr::visitor(Imsi imsi) const {
   return records_.find(imsi);
-}
-
-NodeId Vlr::hlr() const {
-  Node* n = net().node_by_name(config_.hlr_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no HLR");
-  return n->id();
 }
 
 void Vlr::reply_auth_info(NodeId to, Imsi imsi) {

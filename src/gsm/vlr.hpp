@@ -51,7 +51,7 @@ class Vlr final : public Node {
   }
 
  private:
-  [[nodiscard]] NodeId hlr() const;
+  [[nodiscard]] NodeId hlr() const { return peer(config_.hlr_name); }
   void reply_auth_info(NodeId to, Imsi imsi);
 
   Config config_;

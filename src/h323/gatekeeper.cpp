@@ -27,7 +27,7 @@ void Gatekeeper::confirm_admission(const RasAdmissionRequestInfo& arq,
   auto acf = pool_message<RasAcf>();
   acf->call_ref = arq.call_ref;
   acf->dest_call_signal_address = dest;
-  send_ip(requester, *acf);
+  send_ip(requester, std::move(acf));
 }
 
 void Gatekeeper::reject_admission(const RasAdmissionRequestInfo& arq,
@@ -36,7 +36,7 @@ void Gatekeeper::reject_admission(const RasAdmissionRequestInfo& arq,
   auto arj = pool_message<RasArj>();
   arj->call_ref = arq.call_ref;
   arj->cause = static_cast<std::uint8_t>(cause);
-  send_ip(requester, *arj);
+  send_ip(requester, std::move(arj));
 }
 
 void Gatekeeper::handle_unknown_alias(const RasAdmissionRequestInfo& arq,
@@ -62,7 +62,7 @@ void Gatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     auto rcf = pool_message<RasRcf>();
     rcf->alias = rrq->alias;
     rcf->endpoint_id = reg.endpoint_id;
-    send_ip(dgram.src, *rcf);
+    send_ip(dgram.src, std::move(rcf));
     return;
   }
 
@@ -74,7 +74,7 @@ void Gatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     auto ucf = pool_message<RasUcf>();
     ucf->alias = urq->alias;
     ucf->endpoint_id = urq->endpoint_id;
-    send_ip(dgram.src, *ucf);
+    send_ip(dgram.src, std::move(ucf));
     return;
   }
 
@@ -92,7 +92,7 @@ void Gatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
       auto acf = pool_message<RasAcf>();
       acf->call_ref = arq->call_ref;
       acf->dest_call_signal_address = dest;
-      send_ip(dgram.src, *acf);
+      send_ip(dgram.src, std::move(acf));
       return;
     }
     if (bandwidth_limit_kbps_.has_value() &&
@@ -147,7 +147,7 @@ void Gatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     auto dcf = pool_message<RasDcf>();
     dcf->endpoint_id = drq->endpoint_id;
     dcf->call_ref = drq->call_ref;
-    send_ip(dgram.src, *dcf);
+    send_ip(dgram.src, std::move(dcf));
     return;
   }
 

@@ -1,24 +1,8 @@
 #include "h323/gateway.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
-
-void H323Gateway::on_message_unused() {}
-
-NodeId H323Gateway::pstn() const {
-  Node* n = net().node_by_name(config_.pstn_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no PSTN switch");
-  return n->id();
-}
-
-NodeId H323Gateway::fallback() const {
-  Node* n = net().node_by_name(config_.fallback_pstn_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no fallback switch");
-  return n->id();
-}
 
 H323Gateway::Call* H323Gateway::call_by_cic(Cic cic) {
   auto it = by_cic_.find(cic);
@@ -34,7 +18,7 @@ void H323Gateway::register_endpoint() {
   auto rrq = pool_message<RasRrq>();
   rrq->call_signal_address = TransportAddress(ip(), config_.signal_port);
   rrq->alias = config_.service_alias;
-  send_ip(config_.gk_ip, *rrq);
+  send_ip(config_.gk_ip, std::move(rrq));
 }
 
 // --- PSTN side -----------------------------------------------------------------
@@ -57,7 +41,7 @@ void H323Gateway::on_other(const Envelope& env) {
     arq->call_ref = ref;
     arq->calling = iam->calling;
     arq->called = iam->called;
-    send_ip(config_.gk_ip, *arq);
+    send_ip(config_.gk_ip, std::move(arq));
     return;
   }
 
@@ -78,11 +62,11 @@ void H323Gateway::on_other(const Envelope& env) {
       auto ref = by_cic_[rel->cic];
       q_rel->call_ref = ref;
       q_rel->cause = rel->cause;
-      send_ip(call->remote_signal, *q_rel);
+      send_ip(call->remote_signal, std::move(q_rel));
       auto drq = pool_message<RasDrq>();
       drq->endpoint_id = endpoint_id_;
       drq->call_ref = ref;
-      send_ip(config_.gk_ip, *drq);
+      send_ip(config_.gk_ip, std::move(drq));
       auto rlc = pool_message<IsupRlc>();
       rlc->cic = rel->cic;
       send(env.from, std::move(rlc));
@@ -116,7 +100,7 @@ void H323Gateway::on_other(const Envelope& env) {
       rtp->ssrc = endpoint_id_;
       rtp->seq = voice->seq;
       rtp->origin_us = voice->origin_us;
-      send_ip(call->remote_media, *rtp);
+      send_ip(call->remote_media, std::move(rtp));
     }
     return;
   }
@@ -146,7 +130,7 @@ void H323Gateway::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     setup->called = call->called;
     setup->src_signal_address = TransportAddress(ip(), config_.signal_port);
     setup->media_address = TransportAddress(ip(), config_.media_port);
-    send_ip(call->remote_signal, *setup);
+    send_ip(call->remote_signal, std::move(setup));
     return;
   }
 
@@ -200,7 +184,7 @@ void H323Gateway::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     auto drq = pool_message<RasDrq>();
     drq->endpoint_id = endpoint_id_;
     drq->call_ref = rel->call_ref;
-    send_ip(config_.gk_ip, *drq);
+    send_ip(config_.gk_ip, std::move(drq));
     by_cic_.erase(call->cic);
     calls_.erase(rel->call_ref);
     return;

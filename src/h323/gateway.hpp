@@ -45,7 +45,6 @@ class H323Gateway : public IpEndpoint {
     return fallback_calls_;
   }
 
-  void on_message_unused();  // silences unused warnings in some builds
 
  protected:
   void on_ip(const IpDatagramInfo& dgram, const Message& inner) override;
@@ -62,8 +61,10 @@ class H323Gateway : public IpEndpoint {
     bool voip = false;     // completed over H.323 (vs PSTN fallback transit)
   };
 
-  [[nodiscard]] NodeId pstn() const;
-  [[nodiscard]] NodeId fallback() const;
+  [[nodiscard]] NodeId pstn() const { return peer(config_.pstn_name); }
+  [[nodiscard]] NodeId fallback() const {
+    return peer(config_.fallback_pstn_name);
+  }
   Call* call_by_cic(Cic cic);
   Call* call_by_ref(CallRef ref);
 

@@ -1,19 +1,11 @@
 #include "h323/ip_endpoint.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
 
-NodeId IpEndpoint::router() const {
-  Node* n = net().node_by_name(router_name_);
-  if (n == nullptr) throw std::logic_error(name() + ": no router");
-  return n->id();
-}
-
-void IpEndpoint::send_ip(IpAddress dst, const Message& inner) {
-  send(router(), make_ip_datagram(ip_, dst, inner));
+void IpEndpoint::send_ip(IpAddress dst, MessagePtr inner) {
+  send(router(), make_ip_datagram(ip_, dst, std::move(inner)));
 }
 
 void IpEndpoint::on_other(const Envelope& env) {
@@ -22,18 +14,11 @@ void IpEndpoint::on_other(const Envelope& env) {
 
 void IpEndpoint::on_message(const Envelope& env) {
   const auto* dgram = msg_cast<IpDatagram>(env.msg.get());
-  if (dgram == nullptr) {
+  if (dgram == nullptr || dgram->inner == nullptr) {
     on_other(env);
     return;
   }
-  auto inner = ip_payload(*dgram);
-  if (!inner.ok()) {
-    VG_WARN("ip-endpoint", name() << ": undecodable payload from "
-                                  << dgram->src.to_string() << ": "
-                                  << inner.error().to_string());
-    return;
-  }
-  on_ip(*dgram, *inner.value());
+  on_ip(*dgram, *dgram->inner);
 }
 
 }  // namespace vgprs

@@ -24,14 +24,14 @@ class IpEndpoint : public Node {
 
  protected:
   /// Encapsulates `inner` into an IP datagram and sends it via the router.
-  void send_ip(IpAddress dst, const Message& inner);
+  void send_ip(IpAddress dst, MessagePtr inner);
   /// The first hop of every datagram this endpoint sends.
-  [[nodiscard]] NodeId router() const;
+  [[nodiscard]] NodeId router() const { return peer(router_name_); }
 
-  /// A datagram addressed to us arrived; `inner` is its decoded payload.
+  /// A datagram addressed to us arrived; `inner` is the message it carries.
   virtual void on_ip(const IpDatagramInfo& dgram, const Message& inner) = 0;
 
-  /// Non-IP messages (none expected by default).
+  /// Non-IP messages and empty datagrams (none expected by default).
   virtual void on_other(const Envelope& env);
 
  private:

@@ -16,9 +16,10 @@ void H323Terminal::enter(State s) {
 }
 
 void H323Terminal::send_request(RetxKind kind, IpAddress dst,
-                                const Message& inner,
+                                MessagePtr inner,
                                 std::function<void()> give_up) {
-  retx_.send(retx_key(kind), router(), make_ip_datagram(ip(), dst, inner),
+  retx_.send(retx_key(kind), router(),
+             make_ip_datagram(ip(), dst, std::move(inner)),
              std::move(give_up));
 }
 
@@ -30,7 +31,7 @@ void H323Terminal::register_endpoint() {
   auto rrq = pool_message<RasRrq>();
   rrq->call_signal_address = TransportAddress(ip(), config_.signal_port);
   rrq->alias = config_.alias;
-  send_request(RetxKind::kRrq, config_.gk_ip, *rrq, [this] {
+  send_request(RetxKind::kRrq, config_.gk_ip, std::move(rrq), [this] {
     if (state_ != State::kRegistering) return;
     net().spans().close(SpanKind::kRegistration, config_.alias.value(),
                         SpanOutcome::kTimeout, now());
@@ -53,7 +54,7 @@ void H323Terminal::place_call(Msisdn called) {
   arq->call_ref = call_ref_;
   arq->calling = config_.alias;
   arq->called = called;
-  send_request(RetxKind::kArq, config_.gk_ip, *arq, [this] {
+  send_request(RetxKind::kArq, config_.gk_ip, std::move(arq), [this] {
     if (state_ != State::kArqSent) return;
     net().spans().close(SpanKind::kOrigination, call_ref_.value(),
                         SpanOutcome::kTimeout, now());
@@ -68,7 +69,7 @@ void H323Terminal::answer() {
   auto conn = pool_message<Q931Connect>();
   conn->call_ref = call_ref_;
   conn->media_address = TransportAddress(ip(), config_.media_port);
-  send_ip(remote_signal_, *conn);
+  send_ip(remote_signal_, std::move(conn));
   enter(State::kConnected);
   if (on_connected) on_connected(call_ref_);
   if (voice_remaining_ > 0) send_voice_frame();
@@ -86,7 +87,7 @@ void H323Terminal::hangup() {
   }
   auto rel = pool_message<Q931ReleaseComplete>();
   rel->call_ref = call_ref_;
-  send_ip(remote_signal_, *rel);
+  send_ip(remote_signal_, std::move(rel));
   release_local(call_ref_);
 }
 
@@ -95,7 +96,7 @@ void H323Terminal::release_local(CallRef call_ref) {
     auto drq = pool_message<RasDrq>();
     drq->endpoint_id = endpoint_id_;
     drq->call_ref = call_ref;
-    send_ip(config_.gk_ip, *drq);
+    send_ip(config_.gk_ip, std::move(drq));
   }
   enter(State::kRegistered);
   if (on_released) on_released(call_ref);
@@ -118,7 +119,7 @@ void H323Terminal::send_voice_frame() {
   rtp->seq = ++voice_seq_;
   rtp->timestamp = voice_seq_ * 160;  // 20 ms at 8 kHz
   rtp->origin_us = now().count_micros();
-  send_ip(remote_media_, *rtp);
+  send_ip(remote_media_, std::move(rtp));
   if (voice_remaining_ > 0) {
     cancel_timer(timer_);
     timer_ = set_timer(voice_interval_, kVoiceKind);
@@ -169,7 +170,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
       setup->src_signal_address =
           TransportAddress(ip(), config_.signal_port);
       setup->media_address = TransportAddress(ip(), config_.media_port);
-      send_request(RetxKind::kSetup, remote_signal_, *setup, [this] {
+      send_request(RetxKind::kSetup, remote_signal_, std::move(setup), [this] {
         if (state_ != State::kCalling) return;
         net().spans().close(SpanKind::kOrigination, call_ref_.value(),
                             SpanOutcome::kTimeout, now());
@@ -183,7 +184,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
       enter(State::kRinging);
       auto alert = pool_message<Q931Alerting>();
       alert->call_ref = call_ref_;
-      send_ip(remote_signal_, *alert);
+      send_ip(remote_signal_, std::move(alert));
       if (on_incoming) on_incoming(call_ref_, peer_number_);
       if (config_.auto_answer) {
         cancel_timer(timer_);
@@ -211,7 +212,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
       auto rel = pool_message<Q931ReleaseComplete>();
       rel->call_ref = call_ref_;
       rel->cause = 47;  // resource unavailable
-      send_ip(remote_signal_, *rel);
+      send_ip(remote_signal_, std::move(rel));
       enter(State::kRegistered);
       if (on_released) on_released(arj->call_ref);
       return;
@@ -232,13 +233,13 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
         // than busy-releasing our own call.
         auto proceed = pool_message<Q931CallProceeding>();
         proceed->call_ref = call_ref_;
-        send_ip(remote_signal_, *proceed);
+        send_ip(remote_signal_, std::move(proceed));
         return;
       }
       auto rel = pool_message<Q931ReleaseComplete>();
       rel->call_ref = setup->call_ref;
       rel->cause = 17;  // busy
-      send_ip(setup->src_signal_address.ip(), *rel);
+      send_ip(setup->src_signal_address.ip(), std::move(rel));
       return;
     }
     call_ref_ = setup->call_ref;
@@ -248,7 +249,7 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     // Step 2.4: confirm sufficient routing information.
     auto proceed = pool_message<Q931CallProceeding>();
     proceed->call_ref = call_ref_;
-    send_ip(remote_signal_, *proceed);
+    send_ip(remote_signal_, std::move(proceed));
     // Step 2.5: ask the gatekeeper for admission before alerting.
     enter(State::kIncomingArq);
     auto arq = pool_message<RasArq>();
@@ -257,14 +258,14 @@ void H323Terminal::on_ip(const IpDatagramInfo& dgram, const Message& inner) {
     arq->calling = setup->calling;
     arq->called = config_.alias;
     arq->answer_call = true;
-    send_request(RetxKind::kArq, config_.gk_ip, *arq, [this] {
+    send_request(RetxKind::kArq, config_.gk_ip, std::move(arq), [this] {
       if (state_ != State::kIncomingArq) return;
       // No admission decision: clear the incoming leg toward the caller and
       // return to service.
       auto rel = pool_message<Q931ReleaseComplete>();
       rel->call_ref = call_ref_;
       rel->cause = 47;  // resource unavailable
-      send_ip(remote_signal_, *rel);
+      send_ip(remote_signal_, std::move(rel));
       enter(State::kRegistered);
       if (on_released) on_released(call_ref_);
     });

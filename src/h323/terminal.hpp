@@ -90,7 +90,7 @@ class H323Terminal : public IpEndpoint {
   void enter(State s);
   /// Sends `inner` to `dst` as a request under `kind`; the Retransmitter
   /// re-sends that datagram until an answer or enter() ends the exchange.
-  void send_request(RetxKind kind, IpAddress dst, const Message& inner,
+  void send_request(RetxKind kind, IpAddress dst, MessagePtr inner,
                     std::function<void()> give_up);
   void send_voice_frame();
   void release_local(CallRef call_ref);

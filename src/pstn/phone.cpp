@@ -1,7 +1,5 @@
 #include "pstn/phone.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
@@ -14,12 +12,6 @@ constexpr std::uint64_t kVoiceKind = 3;
 void PstnPhone::enter(State s) {
   state_ = s;
   cancel_timer(timer_);
-}
-
-NodeId PstnPhone::exchange() const {
-  Node* n = net().node_by_name(config_.switch_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no switch");
-  return n->id();
 }
 
 void PstnPhone::place_call(Msisdn called) {

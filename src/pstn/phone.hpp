@@ -51,7 +51,7 @@ class PstnPhone final : public Node {
 
  private:
   void enter(State s);
-  [[nodiscard]] NodeId exchange() const;
+  [[nodiscard]] NodeId exchange() const { return peer(config_.switch_name); }
   void send_voice_frame();
 
   Config config_;

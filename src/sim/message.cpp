@@ -56,15 +56,15 @@ std::vector<std::uint16_t> MessageRegistry::types() const {
   return out;
 }
 
-std::unique_ptr<Message> MessageRegistry::create(
+std::shared_ptr<Message> MessageRegistry::create(
     std::uint16_t wire_type) const {
   auto it = entries_.find(wire_type);
   return it == entries_.end() ? nullptr : it->second.factory();
 }
 
-Result<std::unique_ptr<Message>> MessageRegistry::decode(
-    std::span<const std::uint8_t> buffer) const {
-  ByteReader r(buffer);
+Result<MessagePtr> MessageRegistry::decode(
+    std::span<const std::uint8_t> buffer, unsigned depth) const {
+  ByteReader r(buffer, depth);
   std::uint16_t type = r.u16();
   if (r.failed()) {
     return Error{ErrorCode::kDecodeTruncated, "missing wire type"};
@@ -74,7 +74,7 @@ Result<std::unique_ptr<Message>> MessageRegistry::decode(
     return Error{ErrorCode::kDecodeUnknownType,
                  "wire type " + std::to_string(type)};
   }
-  std::unique_ptr<Message> msg = it->second.factory();
+  std::shared_ptr<Message> msg = it->second.factory();
   if (Status st = msg->decode_payload(r); !st.ok()) {
     return Error{st.error().code,
                  it->second.name + ": " + st.error().message};
@@ -86,7 +86,38 @@ Result<std::unique_ptr<Message>> MessageRegistry::decode(
     return Error{ErrorCode::kDecodeBadValue,
                  it->second.name + ": trailing bytes"};
   }
-  return msg;
+  return MessagePtr(std::move(msg));
+}
+
+void write(ByteWriter& w, const MessagePtr& inner) {
+  const std::size_t at = w.size();
+  w.u16(0);
+  if (inner == nullptr) return;
+  inner->encode_to(w);
+  w.patch_u16(at, static_cast<std::uint16_t>(w.size() - at - 2));
+}
+
+void read(ByteReader& r, MessagePtr& inner) {
+  inner = nullptr;
+  const std::span<const std::uint8_t> image = r.bytes();
+  if (image.empty()) return;
+  if (r.depth() >= kMaxNesting) {
+    r.mark_bad_value();
+    return;
+  }
+  auto decoded = MessageRegistry::instance().decode(image, r.depth() + 1);
+  if (!decoded.ok()) {
+    r.mark_bad_value();
+    return;
+  }
+  inner = std::move(decoded).value();
+}
+
+std::size_t wire_size(const MessagePtr& m) {
+  if (m == nullptr) return 0;
+  ByteWriter w;
+  m->encode_to(w);
+  return w.size();
 }
 
 }  // namespace vgprs

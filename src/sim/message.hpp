@@ -95,7 +95,10 @@ template <typename T>
 /// message types once (idempotent) via register_message<T>().
 class MessageRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<Message>()>;
+  /// Makes a default-constructed instance: a pooled shared message (see
+  /// pool_message), so a decoded message's object and control block come
+  /// from the message pool in one block, as a sent one's do.
+  using Factory = std::function<std::shared_ptr<Message>()>;
 
   /// Two distinct message types claimed the same wire type.  Recorded (not
   /// thrown) so vgprs_lint can report every clash in one pass.
@@ -113,16 +116,17 @@ class MessageRegistry {
   /// All registered wire types (sorted), for exhaustive codec sweeps.
   [[nodiscard]] std::vector<std::uint16_t> types() const;
   /// Creates a default-constructed instance of a registered type.
-  [[nodiscard]] std::unique_ptr<Message> create(std::uint16_t wire_type) const;
+  [[nodiscard]] std::shared_ptr<Message> create(std::uint16_t wire_type) const;
   /// Wire-type clashes observed by add() (same type, different name).
   [[nodiscard]] const std::vector<Collision>& collisions() const {
     return collisions_;
   }
 
   /// Decodes a full wire buffer (type header + payload).  The buffer must be
-  /// exactly one message; trailing bytes are an error.
-  [[nodiscard]] Result<std::unique_ptr<Message>> decode(
-      std::span<const std::uint8_t> buffer) const;
+  /// exactly one message; trailing bytes are an error.  `depth` counts the
+  /// messages the buffer is nested in (0 for a frame off a link).
+  [[nodiscard]] Result<MessagePtr> decode(
+      std::span<const std::uint8_t> buffer, unsigned depth = 0) const;
 
  private:
   struct Entry {
@@ -133,21 +137,43 @@ class MessageRegistry {
   std::vector<Collision> collisions_;
 };
 
-template <typename T>
-void register_message() {
-  MessageRegistry::instance().add(T::kWireType, T::kName,
-                                  [] { return std::make_unique<T>(); });
-}
+// --- nested messages -------------------------------------------------------
+//
+// A tunnel (Gb frame, GTP PDU, IP datagram) carries one whole message as a
+// MessagePtr field.  Its wire form is a u16 length, then the inner message's
+// full wire image; a null inner is the empty image.  The read decodes the
+// image through the registry, so an inner that does not decode -- unknown
+// type, short, trailing bytes, or nested deeper than kMaxNesting -- marks
+// the field out of domain and the outer message fails to decode with it.
+
+/// Deepest nesting a decode accepts.  Real traffic nests two levels (Gb or
+/// GTP -> IP -> signalling); one level of headroom keeps the whole Fig. 3
+/// stack (Gb -> GTP -> IP -> RAS) decodable, and the bound keeps a crafted
+/// image from recursing without limit.
+inline constexpr unsigned kMaxNesting = 3;
+
+void write(ByteWriter& w, const MessagePtr& inner);
+void read(ByteReader& r, MessagePtr& inner);
+
+/// Length of `m`'s full wire image (0 for null), for trace text.
+[[nodiscard]] std::size_t wire_size(const MessagePtr& m);
 
 /// Builds a mutable shared message with its control block and object in one
-/// pooled allocation.  This is the sender-side construction path: handlers
-/// fill in fields, then pass the pointer to send() (which converts to
-/// MessagePtr).  std::make_shared would bypass Message::operator new — the
-/// combined block comes from std::allocate_shared over the pool instead.
+/// pooled allocation.  Handlers fill in fields, then pass the pointer to
+/// send() (which converts to MessagePtr); the registry builds every decoded
+/// message the same way.  std::make_shared would bypass Message::operator
+/// new — the combined block comes from std::allocate_shared over the pool
+/// instead.
 template <typename T, typename... Args>
 std::shared_ptr<T> pool_message(Args&&... args) {
   return std::allocate_shared<T>(PoolAllocator<T>{},
                                  std::forward<Args>(args)...);
+}
+
+template <typename T>
+void register_message() {
+  MessageRegistry::instance().add(T::kWireType, T::kName,
+                                  [] { return pool_message<T>(); });
 }
 
 /// Builds a shared message, optionally applying an initializer to set fields:

@@ -508,9 +508,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg,
         ++sh.stats.messages_dropped;
         return;
       }
-      delivered = MessagePtr(std::move(decoded).value().release(),
-                             std::default_delete<const Message>{},
-                             PoolAllocator<Message>{});
+      delivered = std::move(decoded).value();
     } else {
       auto decoded = MessageRegistry::instance().decode(sh.scratch.data());
       if (!decoded.ok()) {
@@ -518,12 +516,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr msg,
                                std::string(delivered->name()) + ": " +
                                decoded.error().to_string());
       }
-      // The decoded object came from Message::operator new (pooled); give
-      // the shared_ptr control block the same treatment instead of letting
-      // the unique_ptr conversion allocate it from the global heap.
-      delivered = MessagePtr(std::move(decoded).value().release(),
-                             std::default_delete<const Message>{},
-                             PoolAllocator<Message>{});
+      delivered = std::move(decoded).value();
     }
   }
 
@@ -1154,5 +1147,13 @@ TimerId Node::set_timer(SimDuration delay, std::uint64_t cookie) {
 void Node::cancel_timer(TimerId id) { net_->cancel_timer(id); }
 
 SimTime Node::now() const { return net_->now(); }
+
+NodeId Node::peer(std::string_view name) const {
+  Node* n = net_->node_by_name(name);
+  if (n == nullptr) {
+    throw std::logic_error(name_ + ": no node " + std::string(name));
+  }
+  return n->id();
+}
 
 }  // namespace vgprs

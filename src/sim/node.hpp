@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "sim/message.hpp"
@@ -87,6 +88,9 @@ class Node {
                                   std::uint64_t cookie = 0);
   void cancel_timer(TimerId id);
   [[nodiscard]] SimTime now() const;
+  /// The node named `name`, which the topology must hold: a missing peer
+  /// is a wiring error, so it throws std::logic_error.
+  [[nodiscard]] NodeId peer(std::string_view name) const;
 
  private:
   friend class Network;

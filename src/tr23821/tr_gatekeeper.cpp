@@ -1,7 +1,5 @@
 #include "tr23821/tr_gatekeeper.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 #include "gprs/messages.hpp"
 
@@ -16,15 +14,14 @@ void TrGatekeeper::admit(const RasAdmissionRequestInfo& arq,
   // Any terminating alias might be a GPRS MS whose PDP context was
   // deactivated while idle; interrogate the HLR for its IMSI first
   // (the TR gatekeeper cannot tell from the alias alone).
-  Node* hlr = net().node_by_name(tr_.hlr_name);
-  if (hlr == nullptr) throw std::logic_error(name() + ": no HLR");
+  const NodeId hlr = peer(tr_.hlr_name);
   pending_by_alias_[arq.called] =
       PendingAdmission{arq, requester, reg.transport, Imsi{}};
   ++hlr_queries_;
   auto sri = pool_message<MapSendRoutingInformation>();
   sri->msisdn = arq.called;
   sri->gmsc_name = name();
-  send(hlr->id(), std::move(sri));
+  send(hlr, std::move(sri));
 }
 
 void TrGatekeeper::on_other(const Envelope& env) {
@@ -49,7 +46,7 @@ void TrGatekeeper::on_other(const Envelope& env) {
   ++ggsn_activations_;
   auto act = pool_message<GgsnActivationRequest>();
   act->imsi = ack->imsi;
-  send_ip(tr_.ggsn_control_ip, *act);
+  send_ip(tr_.ggsn_control_ip, std::move(act));
 }
 
 void TrGatekeeper::on_ip(const IpDatagramInfo& dgram, const Message& inner) {

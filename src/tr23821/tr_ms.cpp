@@ -1,7 +1,5 @@
 #include "tr23821/tr_ms.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
@@ -43,22 +41,15 @@ void TrMobileStation::enter(State s) {
   retx_.reset();
 }
 
-NodeId TrMobileStation::sgsn() const {
-  Node* n = net().node_by_name(config_.sgsn_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no SGSN");
-  return n->id();
-}
-
-MessagePtr TrMobileStation::tunneled(IpAddress dst,
-                                     const Message& inner) const {
+MessagePtr TrMobileStation::tunneled(IpAddress dst, MessagePtr inner) const {
   auto frame = pool_message<GbUnitData>();
   frame->imsi = config_.imsi;
-  frame->payload = make_ip_datagram(pdp_address_, dst, inner)->encode();
+  frame->inner = make_ip_datagram(pdp_address_, dst, std::move(inner));
   return frame;
 }
 
-void TrMobileStation::send_tunneled(IpAddress dst, const Message& inner) {
-  send(sgsn(), tunneled(dst, inner));
+void TrMobileStation::send_tunneled(IpAddress dst, MessagePtr inner) {
+  send(sgsn(), tunneled(dst, std::move(inner)));
 }
 
 void TrMobileStation::send_request(RetxKind kind, MessagePtr request,
@@ -167,7 +158,7 @@ void TrMobileStation::send_arq() {
   arq->call_ref = call_ref_;
   arq->calling = config_.msisdn;
   arq->called = peer_number_;
-  send_request(RetxKind::kArq, tunneled(config_.gk_ip, *arq), [this] {
+  send_request(RetxKind::kArq, tunneled(config_.gk_ip, std::move(arq)), [this] {
     if (state_ != State::kArqSent) return;
     if (on_failure) on_failure("admission timed out");
     release_call(false, 102);
@@ -181,7 +172,7 @@ void TrMobileStation::answer() {
   auto conn = pool_message<Q931Connect>();
   conn->call_ref = call_ref_;
   conn->media_address = TransportAddress(pdp_address_, config_.media_port);
-  send_tunneled(remote_signal_, *conn);
+  send_tunneled(remote_signal_, std::move(conn));
   enter(State::kConnected);
   if (on_connected) on_connected(call_ref_);
   if (voice_remaining_ > 0) send_voice_frame();
@@ -210,14 +201,14 @@ void TrMobileStation::release_call(bool notify_far_end, std::uint8_t cause) {
     auto rel = pool_message<Q931ReleaseComplete>();
     rel->call_ref = call_ref_;
     rel->cause = cause;
-    send_tunneled(remote_signal_, *rel);
+    send_tunneled(remote_signal_, std::move(rel));
   }
   // The DRQ serves the state entered here (kAwaitDcf, or kIdle without the
   // idle-deactivation policy), so it is built now and sent after enter().
   auto drq = pool_message<RasDrq>();
   drq->endpoint_id = endpoint_id_;
   drq->call_ref = call_ref_;
-  MessagePtr drq_frame = tunneled(config_.gk_ip, *drq);
+  MessagePtr drq_frame = tunneled(config_.gk_ip, std::move(drq));
   remote_signal_ = IpAddress{};
   remote_media_ = IpAddress{};
   CallRef released = call_ref_;
@@ -256,7 +247,7 @@ void TrMobileStation::send_voice_frame() {
   rtp->seq = ++voice_seq_;
   rtp->timestamp = voice_seq_ * 160;
   rtp->origin_us = now().count_micros();
-  send_tunneled(remote_media_, *rtp);
+  send_tunneled(remote_media_, std::move(rtp));
   if (voice_remaining_ > 0) {
     cancel_timer(timer_);
     timer_ = set_timer(voice_interval_, kVoiceKind);
@@ -321,7 +312,8 @@ void TrMobileStation::on_message(const Envelope& env) {
       rrq->call_signal_address =
           TransportAddress(pdp_address_, config_.signal_port);
       rrq->alias = config_.msisdn;
-      send_request(RetxKind::kRrq, tunneled(config_.gk_ip, *rrq), [this] {
+      MessagePtr rrq_frame = tunneled(config_.gk_ip, std::move(rrq));
+      send_request(RetxKind::kRrq, std::move(rrq_frame), [this] {
         if (state_ != State::kRasRegistering) return;
         net().spans().close(SpanKind::kRegistration, config_.imsi.value(),
                             SpanOutcome::kTimeout, now());
@@ -344,7 +336,7 @@ void TrMobileStation::on_message(const Envelope& env) {
       // (or already did and was held).
       enter(State::kIdle);
       if (pending_setup_ != nullptr) {
-        auto held = std::move(pending_setup_);
+        MessagePtr held = std::move(pending_setup_);
         pending_setup_ = nullptr;
         handle_tunneled(*held);
       }
@@ -409,13 +401,18 @@ void TrMobileStation::on_message(const Envelope& env) {
   }
 
   if (const auto* frame = msg_cast<GbUnitData>(&msg)) {
-    auto decoded = MessageRegistry::instance().decode(frame->payload);
-    if (!decoded.ok()) return;
-    const auto* dgram = msg_cast<IpDatagram>(decoded.value().get());
-    if (dgram == nullptr) return;
-    auto inner = ip_payload(*dgram);
-    if (!inner.ok()) return;
-    handle_tunneled(*inner.value());
+    const auto* dgram = msg_cast<IpDatagram>(frame->inner.get());
+    if (dgram == nullptr || dgram->inner == nullptr) return;
+    if (msg_cast<Q931Setup>(dgram->inner.get()) != nullptr &&
+        (state_ == State::kActivatingForPage ||
+         (state_ == State::kIdle && !pdp_active_))) {
+      // The network paged us for this call; the caller's Setup overtook our
+      // activation accept on the jittery Gb path.  Hold it until the
+      // context is up rather than bouncing the call as busy.
+      pending_setup_ = dgram->inner;
+      return;
+    }
+    handle_tunneled(*dgram->inner);
     return;
   }
 
@@ -451,7 +448,8 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
           TransportAddress(pdp_address_, config_.signal_port);
       setup->media_address =
           TransportAddress(pdp_address_, config_.media_port);
-      send_request(RetxKind::kSetup, tunneled(remote_signal_, *setup), [this] {
+      MessagePtr setup_frame = tunneled(remote_signal_, std::move(setup));
+      send_request(RetxKind::kSetup, std::move(setup_frame), [this] {
         if (state_ != State::kCalling) return;
         if (on_failure) on_failure("Setup timed out");
         release_call(true, 102);
@@ -462,7 +460,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
       enter(State::kRinging);
       auto alert = pool_message<Q931Alerting>();
       alert->call_ref = call_ref_;
-      send_tunneled(remote_signal_, *alert);
+      send_tunneled(remote_signal_, std::move(alert));
       if (on_incoming) on_incoming(call_ref_, peer_number_);
       if (config_.auto_answer) {
         cancel_timer(timer_);
@@ -492,14 +490,6 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
   }
 
   if (const auto* setup = msg_cast<Q931Setup>(&inner)) {
-    if (state_ == State::kActivatingForPage ||
-        (state_ == State::kIdle && !pdp_active_)) {
-      // The network paged us for this call; the caller's Setup overtook our
-      // activation accept on the jittery Gb path.  Hold it until the
-      // context is up rather than bouncing the call as busy.
-      pending_setup_ = pool_message<Q931Setup>(*setup);
-      return;
-    }
     if (setup->call_ref == call_ref_ && state_ != State::kIdle &&
         state_ != State::kDetached &&
         setup->src_signal_address.ip() == remote_signal_) {
@@ -507,14 +497,14 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
       // rather than busy-releasing our own call.
       auto proceed = pool_message<Q931CallProceeding>();
       proceed->call_ref = call_ref_;
-      send_tunneled(remote_signal_, *proceed);
+      send_tunneled(remote_signal_, std::move(proceed));
       return;
     }
     if (state_ != State::kIdle || !pdp_active_) {
       auto rel = pool_message<Q931ReleaseComplete>();
       rel->call_ref = setup->call_ref;
       rel->cause = 17;
-      send_tunneled(setup->src_signal_address.ip(), *rel);
+      send_tunneled(setup->src_signal_address.ip(), std::move(rel));
       return;
     }
     call_ref_ = setup->call_ref;
@@ -525,7 +515,7 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
                        now());
     auto proceed = pool_message<Q931CallProceeding>();
     proceed->call_ref = call_ref_;
-    send_tunneled(remote_signal_, *proceed);
+    send_tunneled(remote_signal_, std::move(proceed));
     enter(State::kIncomingArq);
     auto arq = pool_message<RasArq>();
     arq->endpoint_id = endpoint_id_;
@@ -533,7 +523,8 @@ void TrMobileStation::handle_tunneled(const Message& inner) {
     arq->calling = setup->calling;
     arq->called = config_.msisdn;
     arq->answer_call = true;
-    send_request(RetxKind::kArq, tunneled(config_.gk_ip, *arq), [this] {
+    MessagePtr arq_frame = tunneled(config_.gk_ip, std::move(arq));
+    send_request(RetxKind::kArq, std::move(arq_frame), [this] {
       if (state_ != State::kIncomingArq) return;
       if (on_failure) on_failure("admission timed out");
       release_call(true, 102);

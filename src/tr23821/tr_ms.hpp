@@ -133,10 +133,10 @@ class TrMobileStation final : public Node {
   /// Cancels the state's timer and ends every pending exchange: each one
   /// served the state that sent its request.
   void enter(State s);
-  [[nodiscard]] NodeId sgsn() const;
+  [[nodiscard]] NodeId sgsn() const { return peer(config_.sgsn_name); }
   /// The Gb frame that carries `inner` from the PDP address to `dst`.
-  [[nodiscard]] MessagePtr tunneled(IpAddress dst, const Message& inner) const;
-  void send_tunneled(IpAddress dst, const Message& inner);
+  [[nodiscard]] MessagePtr tunneled(IpAddress dst, MessagePtr inner) const;
+  void send_tunneled(IpAddress dst, MessagePtr inner);
   /// Sends a GPRS request, or a frame tunnelling a RAS / Q.931 request, to
   /// the SGSN under `kind`; the Retransmitter re-sends that message.
   void send_request(RetxKind kind, MessagePtr request,
@@ -165,7 +165,7 @@ class TrMobileStation final : public Node {
   IpAddress remote_media_;
   // A caller's Setup that overtook our page-triggered activation accept on
   // the jittery Gb path; replayed once the context is up.
-  std::shared_ptr<Q931Setup> pending_setup_;
+  MessagePtr pending_setup_;
   std::uint32_t call_seq_ = 0;
   TimerId timer_ = 0;  // the current state's timer; enter() cancels it
 

@@ -437,4 +437,32 @@ std::unique_ptr<HandoffScenario> build_handoff(const HandoffParams& p) {
   return s;
 }
 
+FaultSchedule report_fault_schedule() {
+  const auto at = [](std::int64_t ms) {
+    return SimTime::from_micros(ms * 1000);
+  };
+  FaultSchedule sched;
+  // Registration phase: the first attach vanishes, the first PDP activation
+  // arrives corrupted, and the gatekeeper is down when the terminal sends
+  // its initial RRQ.  All three recover via sender retransmission.
+  sched.message_faults.push_back(
+      {MessagePredicate{"GPRS_Attach_Request", "", "", 1, 1},
+       FaultKind::kDrop});
+  sched.message_faults.push_back(
+      {MessagePredicate{"Activate_PDP_Context_Request", "", "", 1, 1},
+       FaultKind::kCorrupt});
+  sched.node_outages.push_back({"GK", at(0), at(1200)});
+  // Call cycle 0 (t = 30 s): the SGSN-GGSN backbone drops everything for
+  // 800 ms right as call signalling crosses it — forced setup retransmits.
+  sched.link_windows.push_back({"SGSN", "GGSN", at(30'010), at(30'810)});
+  // Call cycle 1 (t = 90 s): a 25 ms latency spike on the same backbone —
+  // slower, but no losses.
+  sched.latency_spikes.push_back(
+      {"SGSN", "GGSN", at(90'000), at(96'000), SimDuration::millis(25)});
+  // Call cycle 2 (t = 150 s): the gatekeeper crashes across admission —
+  // ARQ retransmission carries the call through the restart.
+  sched.node_outages.push_back({"GK", at(149'900), at(151'200)});
+  return sched;
+}
+
 }  // namespace vgprs

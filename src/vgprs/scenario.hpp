@@ -27,6 +27,7 @@
 #include "h323/terminal.hpp"
 #include "pstn/phone.hpp"
 #include "pstn/switch.hpp"
+#include "sim/fault.hpp"
 #include "vgprs/latency.hpp"
 #include "vgprs/vmsc.hpp"
 
@@ -191,5 +192,41 @@ struct HandoffScenario {
 };
 
 std::unique_ptr<HandoffScenario> build_handoff(const HandoffParams& params);
+
+// --- the fault / recovery comparison (vgprs_report --faults) ----------------
+
+/// One fault schedule valid for BOTH the vGPRS and the TR 23.821 scenario:
+/// it references only nodes and message names the two share (SGSN, GGSN,
+/// GK and the GPRS attach / PDP activation exchanges).  Registration-phase
+/// faults are message-predicated; call-phase faults are time-windowed
+/// against drive_fault_cycles (call cycle i starts at 30 s + 60 s * i).
+FaultSchedule report_fault_schedule();
+
+/// The --faults run on either system: installs report_fault_schedule(),
+/// registers MS 0 and terminal 0, then runs `iters` call cycles (MS 0 calls
+/// terminal 0's alias, then terminal 0 calls MS 0; each call is released).
+/// Returns the events processed.
+template <typename Scenario>
+std::size_t drive_fault_cycles(Scenario& s, std::uint32_t iters) {
+  s.net.install_faults(report_fault_schedule());
+  s.ms[0]->power_on();
+  s.terminals[0]->register_endpoint();
+  std::size_t events = s.settle();
+  const Msisdn term_alias = make_subscriber(88, 1000).msisdn;
+  const Msisdn ms_number = s.ms[0]->config().msisdn;
+  for (std::uint32_t i = 0; i < iters; ++i) {
+    events += s.net.run_until(SimTime::from_micros(
+        (30 + 60 * static_cast<std::int64_t>(i)) * 1'000'000));
+    s.ms[0]->dial(term_alias);
+    events += s.settle();
+    s.ms[0]->hangup();
+    events += s.settle();
+    s.terminals[0]->place_call(ms_number);
+    events += s.settle();
+    s.terminals[0]->hangup();
+    events += s.settle();
+  }
+  return events;
+}
 
 }  // namespace vgprs

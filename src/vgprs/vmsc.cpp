@@ -1,7 +1,5 @@
 #include "vgprs/vmsc.hpp"
 
-#include <stdexcept>
-
 #include "common/log.hpp"
 
 namespace vgprs {
@@ -19,23 +17,17 @@ std::size_t Vmsc::ready_count() const {
   return n;
 }
 
-NodeId Vmsc::sgsn() const {
-  Node* n = net().node_by_name(config_.sgsn_name);
-  if (n == nullptr) throw std::logic_error(name() + ": no SGSN");
-  return n->id();
-}
-
 MessagePtr Vmsc::tunneled(Imsi imsi, IpAddress src, IpAddress dst,
-                          const Message& inner) const {
+                          MessagePtr inner) const {
   auto frame = pool_message<GbUnitData>();
   frame->imsi = imsi;
-  frame->payload = make_ip_datagram(src, dst, inner)->encode();
+  frame->inner = make_ip_datagram(src, dst, std::move(inner));
   return frame;
 }
 
 void Vmsc::send_tunneled(Imsi imsi, IpAddress src, IpAddress dst,
-                         const Message& inner, SimDuration processing) {
-  send(sgsn(), tunneled(imsi, src, dst, inner), processing);
+                         MessagePtr inner, SimDuration processing) {
+  send(sgsn(), tunneled(imsi, src, dst, std::move(inner)), processing);
 }
 
 void Vmsc::send_sgsn_request(RetxKind kind, Imsi imsi, MessagePtr request,
@@ -186,7 +178,7 @@ void Vmsc::send_arq_for_mo(MsContext& ctx, VgprsState& vs) {
   arq->called = ctx.called;
   send_sgsn_request(
       RetxKind::kRasArq, ctx.imsi,
-      tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, *arq),
+      tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, std::move(arq)),
       [this, imsi = ctx.imsi] {
         if (MsContext* c = context(imsi)) {
           if (c->proc == Proc::kMoCall && c->step != Step::kActive) {
@@ -223,7 +215,8 @@ void Vmsc::send_drq(Imsi imsi, VgprsState& vs, CallRef call_ref) {
   vs.pending_drq_deactivate = vs.voice_active;
   send_sgsn_request(
       RetxKind::kRasDrq, imsi,
-      tunneled(imsi, vs.signaling_ip, config_.gk_ip, *drq), [this, imsi] {
+      tunneled(imsi, vs.signaling_ip, config_.gk_ip, std::move(drq)),
+      [this, imsi] {
         // The gatekeeper will age the admission out; finish the local
         // teardown (step 3.4) that was waiting on the DCF.
         VgprsState* st = vgprs_states_.find(imsi);
@@ -251,7 +244,7 @@ void Vmsc::release_h323_leg(MsContext& ctx, ClearCause cause) {
     auto rel = pool_message<Q931ReleaseComplete>();
     rel->call_ref = ctx.call_ref;
     rel->cause = static_cast<std::uint8_t>(cause);
-    send_tunneled(ctx.imsi, vs.signaling_ip, vs.remote_signal, *rel);
+    send_tunneled(ctx.imsi, vs.signaling_ip, vs.remote_signal, std::move(rel));
   }
   if (vs.signaling_active) {
     // Step 3.3: disengage at the gatekeeper (charging stops).  Step 3.4
@@ -275,7 +268,7 @@ void Vmsc::on_mt_alerting(MsContext& ctx) {
   VgprsState& vs = vstate(ctx.imsi);
   auto alert = pool_message<Q931Alerting>();
   alert->call_ref = ctx.call_ref;
-  send_tunneled(ctx.imsi, vs.signaling_ip, vs.remote_signal, *alert);
+  send_tunneled(ctx.imsi, vs.signaling_ip, vs.remote_signal, std::move(alert));
 }
 
 void Vmsc::on_mt_connected(MsContext& ctx) {
@@ -284,7 +277,7 @@ void Vmsc::on_mt_connected(MsContext& ctx) {
   conn->call_ref = ctx.call_ref;
   conn->media_address =
       TransportAddress(vs.signaling_ip, config_.media_port);
-  send_tunneled(ctx.imsi, vs.signaling_ip, vs.remote_signal, *conn);
+  send_tunneled(ctx.imsi, vs.signaling_ip, vs.remote_signal, std::move(conn));
   // Step 4.8: second PDP context for the voice packets.
   activate_voice_context(ctx.imsi);
 }
@@ -319,7 +312,7 @@ void Vmsc::on_subscriber_removed(const MsContext& ctx) {
     urq->endpoint_id = vs.endpoint_id;
     send_sgsn_request(
         RetxKind::kRasUrq, ctx.imsi,
-        tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, *urq),
+        tunneled(ctx.imsi, vs.signaling_ip, config_.gk_ip, std::move(urq)),
         [this, imsi = ctx.imsi] {
           // The gatekeeper stayed silent; detach anyway — a stale alias
           // there is replaced on the next registration.
@@ -343,7 +336,7 @@ void Vmsc::on_uplink_voice(MsContext& ctx, const VoiceFrameInfo& frame) {
   rtp->timestamp = frame.seq * 160;
   rtp->origin_us = frame.origin_us;
   IpAddress src = vs.voice_active ? vs.voice_ip : vs.signaling_ip;
-  send_tunneled(ctx.imsi, src, vs.remote_media, *rtp,
+  send_tunneled(ctx.imsi, src, vs.remote_media, std::move(rtp),
                 config_.transcode_delay);
 }
 
@@ -408,7 +401,7 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     rrq->alias = vs.alias;
     send_sgsn_request(
         RetxKind::kRasRrq, acc->imsi,
-        tunneled(acc->imsi, vs.signaling_ip, config_.gk_ip, *rrq),
+        tunneled(acc->imsi, vs.signaling_ip, config_.gk_ip, std::move(rrq)),
         [this, imsi = acc->imsi] {
           if (VgprsState* st = vgprs_states_.find(imsi);
               st != nullptr &&
@@ -469,21 +462,10 @@ bool Vmsc::handle_gprs(const Envelope& env) {
     return true;
   }
   if (const auto* frame = msg_cast<GbUnitData>(&msg)) {
-    auto decoded = MessageRegistry::instance().decode(frame->payload);
-    if (!decoded.ok()) {
-      VG_WARN("vmsc", name() << ": bad tunneled frame: "
-                             << decoded.error().to_string());
-      return true;
+    const auto* dgram = msg_cast<IpDatagram>(frame->inner.get());
+    if (dgram != nullptr && dgram->inner != nullptr) {
+      handle_tunneled(frame->imsi, *dgram, *dgram->inner);
     }
-    const auto* dgram = msg_cast<IpDatagram>(decoded.value().get());
-    if (dgram == nullptr) return true;
-    auto inner = ip_payload(*dgram);
-    if (!inner.ok()) {
-      VG_WARN("vmsc", name() << ": bad tunneled payload: "
-                             << inner.error().to_string());
-      return true;
-    }
-    handle_tunneled(frame->imsi, *dgram, *inner.value());
     return true;
   }
 
@@ -539,7 +521,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
         auto rel = pool_message<Q931ReleaseComplete>();
         rel->call_ref = vs.mt_call_ref;
         rel->cause = 17;  // busy
-        send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *rel);
+        send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, std::move(rel));
       }
       return;
     }
@@ -558,7 +540,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
           TransportAddress(vs.signaling_ip, config_.media_port);
       send_sgsn_request(
           RetxKind::kQ931Setup, imsi,
-          tunneled(imsi, vs.signaling_ip, vs.remote_signal, *setup),
+          tunneled(imsi, vs.signaling_ip, vs.remote_signal, std::move(setup)),
           [this, imsi] {
             if (MsContext* c = context(imsi)) {
               if (c->proc == Proc::kMoCall && c->step != Step::kActive) {
@@ -578,7 +560,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
       auto rel = pool_message<Q931ReleaseComplete>();
       rel->call_ref = vs.mt_call_ref;
       rel->cause = 47;
-      send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *rel);
+      send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, std::move(rel));
       return;
     }
     if (ctx->proc == Proc::kMoCall) {
@@ -611,7 +593,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
       rel->call_ref = setup->call_ref;
       rel->cause = 17;
       send_tunneled(imsi, vs.signaling_ip, setup->src_signal_address.ip(),
-                    *rel);
+                    std::move(rel));
     };
     if (ctx == nullptr || !ctx->registered || ctx->proc != Proc::kNone ||
         vs.phase != VgprsState::Phase::kReady) {
@@ -624,7 +606,7 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     vs.mt_call_ref = setup->call_ref;
     auto proceed = pool_message<Q931CallProceeding>();
     proceed->call_ref = setup->call_ref;
-    send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, *proceed);
+    send_tunneled(imsi, vs.signaling_ip, vs.remote_signal, std::move(proceed));
     // Step 4.3: admission for the terminating leg.
     vs.awaiting_admission = true;
     auto arq = pool_message<RasArq>();
@@ -635,7 +617,8 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
     arq->answer_call = true;
     send_sgsn_request(
         RetxKind::kRasArq, imsi,
-        tunneled(imsi, vs.signaling_ip, config_.gk_ip, *arq), [this, imsi] {
+        tunneled(imsi, vs.signaling_ip, config_.gk_ip, std::move(arq)),
+        [this, imsi] {
           // No admission decision: tell the caller the leg failed; no GSM
           // resources were committed yet (paging starts only at the ACF).
           VgprsState* st = vgprs_states_.find(imsi);
@@ -644,7 +627,8 @@ void Vmsc::handle_tunneled(Imsi imsi, const IpDatagramInfo& dgram,
           auto rel = pool_message<Q931ReleaseComplete>();
           rel->call_ref = st->mt_call_ref;
           rel->cause = 47;
-          send_tunneled(imsi, st->signaling_ip, st->remote_signal, *rel);
+          send_tunneled(imsi, st->signaling_ip, st->remote_signal,
+                        std::move(rel));
         });
     return;
   }

@@ -107,15 +107,15 @@ class Vmsc : public MscBase {
   bool on_unhandled(const Envelope& env) override;
 
  private:
-  [[nodiscard]] NodeId sgsn() const;
+  [[nodiscard]] NodeId sgsn() const { return peer(config_.sgsn_name); }
   VgprsState& vstate(Imsi imsi) { return vgprs_states_[imsi]; }
 
   /// The Gb frame that carries an H.323/IP message from `src` (one of the
   /// MS's PDP addresses) through the GPRS tunnel toward the SGSN.
   [[nodiscard]] MessagePtr tunneled(Imsi imsi, IpAddress src, IpAddress dst,
-                                    const Message& inner) const;
+                                    MessagePtr inner) const;
   void send_tunneled(Imsi imsi, IpAddress src, IpAddress dst,
-                     const Message& inner,
+                     MessagePtr inner,
                      SimDuration processing = SimDuration::zero());
   /// Sends a GPRS request, or a frame tunnelling a RAS / Q.931 request, to
   /// the SGSN under (kind, imsi); the Retransmitter re-sends that message.

@@ -215,44 +215,11 @@ LiveRun finish_live(std::unique_ptr<Scenario> s, std::uint64_t events) {
   return out;
 }
 
-/// The fault schedule of vgprs_report --faults.
-FaultSchedule report_fault_schedule() {
-  const auto at = [](std::int64_t ms) {
-    return SimTime::from_micros(ms * 1000);
-  };
-  FaultSchedule sched;
-  sched.message_faults.push_back(
-      {MessagePredicate{"GPRS_Attach_Request", "", "", 1, 1},
-       FaultKind::kDrop});
-  sched.message_faults.push_back(
-      {MessagePredicate{"Activate_PDP_Context_Request", "", "", 1, 1},
-       FaultKind::kCorrupt});
-  sched.node_outages.push_back({"GK", at(0), at(1200)});
-  sched.link_windows.push_back({"SGSN", "GGSN", at(30'010), at(30'810)});
-  sched.latency_spikes.push_back(
-      {"SGSN", "GGSN", at(90'000), at(96'000), SimDuration::millis(25)});
-  sched.node_outages.push_back({"GK", at(149'900), at(151'200)});
-  return sched;
-}
-
-/// One call cycle of vgprs_report --faults (MO call, then MT call) after
-/// registration, on either system.
+/// vgprs_report --faults --iters 1 on either system.
 template <typename Scenario>
-LiveRun run_fault_cycle(std::unique_ptr<Scenario> s, Msisdn ms_number) {
+LiveRun run_fault_cycle(std::unique_ptr<Scenario> s) {
   s->net.spans().set_enabled(true);
-  s->net.install_faults(report_fault_schedule());
-  s->ms[0]->power_on();
-  s->terminals[0]->register_endpoint();
-  std::uint64_t events = s->settle();
-  events += s->net.run_until(SimTime::from_micros(30'000'000));
-  s->ms[0]->dial(make_subscriber(88, 1000).msisdn);
-  events += s->settle();
-  s->ms[0]->hangup();
-  events += s->settle();
-  s->terminals[0]->place_call(ms_number);
-  events += s->settle();
-  s->terminals[0]->hangup();
-  events += s->settle();
+  const std::uint64_t events = drive_fault_cycles(*s, 1);
   return finish_live(std::move(s), events);
 }
 
@@ -304,11 +271,8 @@ TEST(BtraceRoundTrip, PreviousWriterShardedCaptureDecodesToLiveRun) {
 TEST(BtraceRoundTrip, PreviousWriterFaultCaptureDecodesToLiveRun) {
   register_all_messages();
   std::vector<LiveRun> live;
-  auto vg = build_vgprs(VgprsParams{});
-  const Msisdn vg_number = vg->ms[0]->config().msisdn;
-  live.push_back(run_fault_cycle(std::move(vg), vg_number));
-  live.push_back(run_fault_cycle(build_tr23821(TrParams{}),
-                                 make_subscriber(88, 1).msisdn));
+  live.push_back(run_fault_cycle(build_vgprs(VgprsParams{})));
+  live.push_back(run_fault_cycle(build_tr23821(TrParams{})));
   Result<DecodedCapture> decoded =
       decode_str(read_golden("capture_faults_iters1.btrace"));
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();

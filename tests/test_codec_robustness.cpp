@@ -27,7 +27,7 @@ TEST_F(CodecRobustnessTest, RegistryIsPopulated) {
 
 TEST_F(CodecRobustnessTest, EveryTypeRoundTripsItsDefaultEncoding) {
   for (std::uint16_t type : reg().types()) {
-    std::unique_ptr<Message> msg = reg().create(type);
+    std::shared_ptr<Message> msg = reg().create(type);
     ASSERT_NE(msg, nullptr) << reg().name_of(type);
     std::vector<std::uint8_t> wire = msg->encode();
     auto decoded = reg().decode(wire);

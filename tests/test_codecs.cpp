@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "gprs/data_ms.hpp"
 #include "vgprs/scenario.hpp"
 
 namespace vgprs {
@@ -139,49 +140,105 @@ TEST(CodecFieldTest, SubscriberProfileInInsertSubsData) {
   EXPECT_EQ(out.profile, msg.profile);
 }
 
-TEST(CodecFieldTest, GtpPduCarriesOpaquePayload) {
+TEST(CodecFieldTest, GtpPduCarriesNestedMessage) {
   register_all_messages();
+  auto ping = std::make_shared<DataPing>();
+  ping->seq = 0xFAFBFC;
+  ping->origin_us = -5;
   GtpPdu pdu;
   pdu.teid = TunnelId(0x8001);
-  pdu.payload = {1, 2, 3, 4, 5, 250, 251, 252};
+  pdu.inner = ping;
   auto decoded = MessageRegistry::instance().decode(pdu.encode());
   ASSERT_TRUE(decoded.ok());
   const auto& out = dynamic_cast<const GtpPdu&>(*decoded.value());
   EXPECT_EQ(out.teid, pdu.teid);
-  EXPECT_EQ(out.payload, pdu.payload);
+  const auto& inner = dynamic_cast<const DataPing&>(*out.inner);
+  EXPECT_EQ(inner.seq, ping->seq);
+  EXPECT_EQ(inner.origin_us, ping->origin_us);
+  EXPECT_EQ(out.encode(), pdu.encode());
 }
 
 TEST(CodecFieldTest, NestedEncapsulationSurvivesThreeLayers) {
   register_all_messages();
   // RAS_ARQ inside an IP datagram inside a GTP PDU inside a Gb frame —
   // the full Fig. 3 protocol stack.
-  RasArq arq;
-  arq.endpoint_id = 7;
-  arq.call_ref = CallRef(99);
-  arq.called = Msisdn(440900000001ULL, 12);
-  auto dgram = make_ip_datagram(IpAddress(10, 1, 0, 1),
+  auto arq = std::make_shared<RasArq>();
+  arq->endpoint_id = 7;
+  arq->call_ref = CallRef(99);
+  arq->called = Msisdn(440900000001ULL, 12);
+  auto pdu = std::make_shared<GtpPdu>();
+  pdu->teid = TunnelId(1);
+  pdu->inner = make_ip_datagram(IpAddress(10, 1, 0, 1),
                                 IpAddress(192, 168, 1, 1), arq);
-  GtpPdu pdu;
-  pdu.teid = TunnelId(1);
-  pdu.payload = dgram->encode();
   GbUnitData frame;
   frame.imsi = Imsi(466920000000001ULL, 15);
-  frame.payload = pdu.encode();
+  frame.inner = pdu;
 
   auto l1 = MessageRegistry::instance().decode(frame.encode());
   ASSERT_TRUE(l1.ok());
   const auto& gb = dynamic_cast<const GbUnitData&>(*l1.value());
-  auto l2 = MessageRegistry::instance().decode(gb.payload);
-  ASSERT_TRUE(l2.ok());
-  const auto& tunnel = dynamic_cast<const GtpPdu&>(*l2.value());
-  auto l3 = MessageRegistry::instance().decode(tunnel.payload);
-  ASSERT_TRUE(l3.ok());
-  const auto& ip = dynamic_cast<const IpDatagram&>(*l3.value());
-  auto l4 = ip_payload(ip);
-  ASSERT_TRUE(l4.ok());
-  const auto& out = dynamic_cast<const RasArq&>(*l4.value());
-  EXPECT_EQ(out.called, arq.called);
-  EXPECT_EQ(out.call_ref, arq.call_ref);
+  const auto& tunnel = dynamic_cast<const GtpPdu&>(*gb.inner);
+  const auto& ip = dynamic_cast<const IpDatagram&>(*tunnel.inner);
+  const auto& out = dynamic_cast<const RasArq&>(*ip.inner);
+  EXPECT_EQ(out.called, arq->called);
+  EXPECT_EQ(out.call_ref, arq->call_ref);
+}
+
+/// `levels` IP datagrams nested around a RAS message.
+MessagePtr nested_datagrams(unsigned levels) {
+  auto msg = MessagePtr(std::make_shared<RasArq>());
+  for (unsigned i = 0; i < levels; ++i) {
+    msg = make_ip_datagram(IpAddress(10, 1, 0, 1), IpAddress(192, 168, 1, 1),
+                           std::move(msg));
+  }
+  return msg;
+}
+
+TEST(CodecFieldTest, NestingDeeperThanTheBoundIsRefused) {
+  register_all_messages();
+  // kMaxNesting datagrams around the RAS message: the outermost is the
+  // frame, so the RAS message sits kMaxNesting levels down and decodes.
+  auto at_bound = MessageRegistry::instance().decode(
+      nested_datagrams(kMaxNesting)->encode());
+  ASSERT_TRUE(at_bound.ok()) << at_bound.error().to_string();
+  // One level more, and a crafted image far deeper than any stack could
+  // follow, are refused without recursing past the bound.
+  for (unsigned levels : {kMaxNesting + 1, 1000u}) {
+    auto deeper = MessageRegistry::instance().decode(
+        nested_datagrams(levels)->encode());
+    ASSERT_FALSE(deeper.ok()) << levels << " levels";
+    EXPECT_EQ(deeper.error().code, ErrorCode::kDecodeBadValue) << levels;
+  }
+}
+
+TEST(CodecFieldTest, InnerLengthOverrunIsRefused) {
+  register_all_messages();
+  GbUnitData frame;
+  frame.imsi = Imsi(466920000000001ULL, 15);
+  frame.inner = nested_datagrams(1);
+  const std::vector<std::uint8_t> wire = frame.encode();
+  // Gb type (2), IMSI (9), inner length (2), then the datagram: type (2),
+  // src (4), dst (4), protocol (1), and its own inner length.
+  constexpr std::size_t kFrameLength = 11;
+  constexpr std::size_t kDatagramLength = kFrameLength + 2 + 11;
+
+  // The datagram claims more bytes than its image holds: the frame is
+  // whole, but the inner it carries does not decode.
+  std::vector<std::uint8_t> inner_overrun = wire;
+  inner_overrun[kDatagramLength] = 0xFF;
+  inner_overrun[kDatagramLength + 1] = 0xFF;
+  auto refused = MessageRegistry::instance().decode(inner_overrun);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, ErrorCode::kDecodeBadValue);
+
+  // The frame's own length overruns the buffer: a short frame, as for any
+  // length-prefixed field.
+  std::vector<std::uint8_t> frame_overrun = wire;
+  frame_overrun[kFrameLength] = 0xFF;
+  frame_overrun[kFrameLength + 1] = 0xFF;
+  auto truncated = MessageRegistry::instance().decode(frame_overrun);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.error().code, ErrorCode::kDecodeTruncated);
 }
 
 }  // namespace

@@ -119,6 +119,28 @@ TEST(BytesTest, NonCanonicalBooleanIsRefused) {
   EXPECT_EQ(r.status().error().code, ErrorCode::kDecodeBadValue);
 }
 
+TEST(BytesTest, IdentityDigitCountAboveFifteenIsRefused) {
+  for (std::uint8_t digits : {std::uint8_t{15}, std::uint8_t{16},
+                              std::uint8_t{230}}) {
+    ByteWriter w;
+    w.u64(466920000000001ULL);
+    w.u8(digits);
+    ByteReader imsi(w.data());
+    EXPECT_EQ(read_field<Imsi>(imsi).digits(), digits);
+    ByteReader msisdn(w.data());
+    EXPECT_EQ(read_field<Msisdn>(msisdn).digits(), digits);
+    for (ByteReader* r : {&imsi, &msisdn}) {
+      EXPECT_TRUE(r->exhausted()) << int{digits};
+      if (digits <= kMaxIdentityDigits) {
+        EXPECT_TRUE(r->status().ok()) << int{digits};
+      } else {
+        ASSERT_FALSE(r->status().ok()) << int{digits};
+        EXPECT_EQ(r->status().error().code, ErrorCode::kDecodeBadValue);
+      }
+    }
+  }
+}
+
 TEST(BytesTest, TruncatedReadFailsSafely) {
   ByteWriter w;
   w.u32(42);

@@ -134,6 +134,48 @@ TEST(FaultInjectorTest, CorruptFrameRejectedByCodecWithoutCrash) {
   EXPECT_EQ(s->ms[0]->state(), MobileStation::State::kIdle);
 }
 
+/// Deliveries of `message` to `to` in the scenario's trace.
+std::size_t deliveries_to(const VgprsScenario& s, std::string_view message,
+                          std::string_view to) {
+  std::size_t n = 0;
+  s.net.trace().for_each([&](const TraceEntry& e) {
+    if (e.message == message && e.to == to) ++n;
+  });
+  return n;
+}
+
+TEST(FaultInjectorTest, CorruptTunnelledInnerRefusedAtFirstHop) {
+  register_all_messages();
+  // Byte 13 of the first VMSC->SGSN Gb_UnitData (a tunnelled RAS RRQ) is
+  // the high byte of its inner IP_Datagram's wire type: the frame's type
+  // (2 bytes), IMSI (9) and inner length (2) come first.  The inner no
+  // longer decodes, so the SGSN's link refuses the whole frame: no
+  // GTP_T_PDU carries it on to the GGSN, and the VMSC's RRQ retransmission
+  // completes the registration.
+  FaultSchedule sched;
+  sched.message_faults.push_back(
+      {MessagePredicate{"Gb_UnitData", "VMSC", "SGSN", 1, 1},
+       FaultKind::kCorrupt, SimDuration::millis(200), 13});
+  std::unique_ptr<VgprsScenario> faulted;
+  run_with_schedule(7, sched, nullptr, &faulted);
+  std::unique_ptr<VgprsScenario> clean;
+  run_with_schedule(7, FaultSchedule{}, nullptr, &clean);
+
+  const FaultInjector& fi = *faulted->net.faults();
+  EXPECT_EQ(fi.counters().corruptions, 1u);
+  EXPECT_EQ(faulted->net.metrics().counter("fault/injected/decode_error"), 1);
+  EXPECT_EQ(fi.last_corrupt_error().code, ErrorCode::kDecodeBadValue);
+  // The retransmitted RRQ replaces the refused one: the GGSN sees exactly
+  // the uplink PDUs of the fault-free run.
+  EXPECT_EQ(deliveries_to(*faulted, "GTP_T_PDU", "GGSN"),
+            deliveries_to(*clean, "GTP_T_PDU", "GGSN"));
+  EXPECT_EQ(faulted->net.metrics().counter("recovery/retransmits"), 1);
+  for (const auto* ms : faulted->ms) {
+    EXPECT_EQ(ms->state(), MobileStation::State::kIdle);
+  }
+  EXPECT_EQ(faulted->vmsc->ready_count(), faulted->ms.size());
+}
+
 TEST(FaultInjectorTest, NodeOutageSuppresssAndRestarts) {
   register_all_messages();
   // Crash the gatekeeper before the terminal registers: RRQs sent into

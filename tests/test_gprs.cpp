@@ -41,11 +41,10 @@ class GbUser final : public Node {
     req->imsi = imsi_;
     send(sgsn_, std::move(req));
   }
-  void send_datagram(IpAddress src, IpAddress dst, const Message& inner) {
-    auto dgram = make_ip_datagram(src, dst, inner);
+  void send_datagram(IpAddress src, IpAddress dst, MessagePtr inner) {
     auto frame = std::make_shared<GbUnitData>();
     frame->imsi = imsi_;
-    frame->payload = dgram->encode();
+    frame->inner = make_ip_datagram(src, dst, std::move(inner));
     send(sgsn_, std::move(frame));
   }
 
@@ -202,8 +201,8 @@ TEST_F(GprsTest, UplinkTunnelingToExternalHost) {
   net_->run_until_idle();
   user_->activate(Nsapi(5));
   net_->run_until_idle();
-  GprsAttachRequest probe;  // arbitrary payload message
-  probe.imsi = id_.imsi;
+  auto probe = std::make_shared<GprsAttachRequest>();  // arbitrary payload
+  probe->imsi = id_.imsi;
   user_->send_datagram(user_->addresses[5], IpAddress(192, 168, 9, 9),
                        probe);
   net_->run_until_idle();
@@ -227,7 +226,8 @@ TEST_F(GprsTest, DownlinkRequiresContext) {
   net_->register_ip(IpAddress(10, 1, 0, 77), ggsn_->id());
   net_->send(host.id(), router_->id(),
              make_ip_datagram(IpAddress(192, 168, 9, 9),
-                              IpAddress(10, 1, 0, 77), GprsAttachRequest{}));
+                              IpAddress(10, 1, 0, 77),
+                              std::make_shared<GprsAttachRequest>()));
   net_->run_until_idle();
   EXPECT_EQ(net_->trace().count("Gb_UnitData"), 0u);
 }
@@ -247,10 +247,8 @@ TEST_F(GprsTest, PduNotificationDrivesNetworkInitiatedActivation) {
     void on_message(const Envelope& env) override {
       const auto* dgram = dynamic_cast<const IpDatagram*>(env.msg.get());
       if (dgram == nullptr) return;
-      auto inner = ip_payload(*dgram);
-      if (!inner.ok()) return;
       if (const auto* rsp = dynamic_cast<const GgsnActivationResponse*>(
-              inner.value().get())) {
+              dgram->inner.get())) {
         responded = true;
         success = rsp->success;
       }
@@ -264,7 +262,8 @@ TEST_F(GprsTest, PduNotificationDrivesNetworkInitiatedActivation) {
   act.imsi = id_.imsi;
   net_->send(req.id(), router_->id(),
              make_ip_datagram(IpAddress(192, 168, 9, 1),
-                              IpAddress(10, 0, 0, 1), act));
+                              IpAddress(10, 0, 0, 1),
+                              std::make_shared<GgsnActivationRequest>(act)));
   net_->run_until_idle();
 
   // The SGSN forwarded a Request_PDP_Context_Activation to the user...
@@ -296,10 +295,8 @@ TEST_F(GprsTest, ActivationRequestWithoutStaticAddressFails) {
     void on_message(const Envelope& env) override {
       const auto* dgram = dynamic_cast<const IpDatagram*>(env.msg.get());
       if (dgram == nullptr) return;
-      auto inner = ip_payload(*dgram);
-      if (!inner.ok()) return;
       if (const auto* rsp = dynamic_cast<const GgsnActivationResponse*>(
-              inner.value().get())) {
+              dgram->inner.get())) {
         responded = true;
         success = rsp->success;
       }
@@ -312,7 +309,8 @@ TEST_F(GprsTest, ActivationRequestWithoutStaticAddressFails) {
   act.imsi = id_.imsi;
   net_->send(req.id(), router_->id(),
              make_ip_datagram(IpAddress(192, 168, 9, 1),
-                              IpAddress(10, 0, 0, 1), act));
+                              IpAddress(10, 0, 0, 1),
+                              std::make_shared<GgsnActivationRequest>(act)));
   net_->run_until_idle();
   EXPECT_TRUE(req.responded);
   EXPECT_FALSE(req.success);

@@ -74,7 +74,8 @@ TEST_F(H323Test, ReRegistrationFromNewTransportGetsFreshEndpointId) {
   urq.endpoint_id = first_id;
   net_->send(term_a_->id(), router_->id(),
              make_ip_datagram(IpAddress(192, 168, 1, 10),
-                              IpAddress(192, 168, 1, 1), urq));
+                              IpAddress(192, 168, 1, 1),
+                              std::make_shared<RasUrq>(urq)));
   net_->run_until_idle();
   EXPECT_TRUE(gk_->find_alias(Msisdn(880900001001ULL, 12)).has_value());
 }
@@ -201,7 +202,8 @@ TEST_F(H323Test, UnregisterRemovesAlias) {
   urq.endpoint_id = term_a_->endpoint_id();
   net_->send(term_a_->id(), router_->id(),
              make_ip_datagram(IpAddress(192, 168, 1, 10),
-                              IpAddress(192, 168, 1, 1), urq));
+                              IpAddress(192, 168, 1, 1),
+                              std::make_shared<RasUrq>(urq)));
   net_->run_until_idle();
   EXPECT_FALSE(gk_->find_alias(Msisdn(880900001001ULL, 12)).has_value());
 }

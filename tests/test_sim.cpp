@@ -531,7 +531,7 @@ TEST_F(SimTest, MsgCastMatchesDynamicCastOnEveryRegisteredType) {
   const MessageRegistry& reg = MessageRegistry::instance();
   std::array<int, Probes::kNames.size()> hits{};
   for (std::uint16_t type : reg.types()) {
-    const std::unique_ptr<Message> m = reg.create(type);
+    const std::shared_ptr<Message> m = reg.create(type);
     ASSERT_NE(m, nullptr) << "wire type " << type;
     const auto matched = Probes::run(m.get());
     for (std::size_t i = 0; i < hits.size(); ++i) hits[i] += matched[i];

@@ -464,90 +464,18 @@ RunResult run_vgprs_workload(const Options& opt, CaptureWriter& cap) {
 
 // --- fault / recovery comparison ---------------------------------------------
 
-/// One fault schedule valid for BOTH systems: it references only nodes and
-/// message names the vGPRS and TR 23.821 scenarios share (SGSN, GGSN, GK and
-/// the GPRS attach / PDP activation exchanges).  Registration-phase faults
-/// are message-predicated; call-phase faults are time-windowed against the
-/// fixed drive pattern below (call cycle i starts at 30 s + 60 s * i).
-FaultSchedule report_fault_schedule() {
-  const auto at = [](std::int64_t ms) { return SimTime::from_micros(ms * 1000); };
-  FaultSchedule sched;
-  // Registration phase: the first attach vanishes, the first PDP activation
-  // arrives corrupted, and the gatekeeper is down when the terminal sends
-  // its initial RRQ.  All three recover via sender retransmission.
-  sched.message_faults.push_back(
-      {MessagePredicate{"GPRS_Attach_Request", "", "", 1, 1}, FaultKind::kDrop});
-  sched.message_faults.push_back(
-      {MessagePredicate{"Activate_PDP_Context_Request", "", "", 1, 1},
-       FaultKind::kCorrupt});
-  sched.node_outages.push_back({"GK", at(0), at(1200)});
-  // Call cycle 0 (t = 30 s): the SGSN-GGSN backbone drops everything for
-  // 800 ms right as call signalling crosses it — forced setup retransmits.
-  sched.link_windows.push_back({"SGSN", "GGSN", at(30'010), at(30'810)});
-  // Call cycle 1 (t = 90 s): a 25 ms latency spike on the same backbone —
-  // slower, but no losses.
-  sched.latency_spikes.push_back(
-      {"SGSN", "GGSN", at(90'000), at(96'000), SimDuration::millis(25)});
-  // Call cycle 2 (t = 150 s): the gatekeeper crashes across admission —
-  // ARQ retransmission carries the call through the restart.
-  sched.node_outages.push_back({"GK", at(149'900), at(151'200)});
-  return sched;
-}
-
-RunResult run_faults_vgprs(const Options& opt, CaptureWriter& cap) {
-  VgprsParams params;
+/// One system's --faults run (drive_fault_cycles, scenario.hpp).
+template <typename Params, typename Scenario>
+RunResult run_faults(const Options& opt, CaptureWriter& cap,
+                     std::unique_ptr<Scenario> (*build)(const Params&),
+                     const char* system) {
+  Params params;
   params.seed = opt.seed;
   apply_threads(params, opt);
-  auto s = build_vgprs(params);
+  auto s = build(params);
   cap.arm(s->net);
-  s->net.install_faults(report_fault_schedule());
-  s->ms[0]->power_on();
-  s->terminals[0]->register_endpoint();
-  std::size_t events = s->settle();
-  Msisdn term_alias = make_subscriber(88, 1000).msisdn;
-  Msisdn ms_number = s->ms[0]->config().msisdn;
-  for (std::uint32_t i = 0; i < opt.iters; ++i) {
-    events += s->net.run_until(
-        SimTime::from_micros((30 + 60 * static_cast<std::int64_t>(i)) *
-                             1'000'000));
-    s->ms[0]->dial(term_alias);
-    events += s->settle();
-    s->ms[0]->hangup();
-    events += s->settle();
-    s->terminals[0]->place_call(ms_number);
-    events += s->settle();
-    s->terminals[0]->hangup();
-    events += s->settle();
-  }
-  return finish_run(std::move(s), "vgprs", events, cap);
-}
-
-RunResult run_faults_tr23821(const Options& opt, CaptureWriter& cap) {
-  TrParams params;
-  params.seed = opt.seed;
-  apply_threads(params, opt);
-  auto s = build_tr23821(params);
-  cap.arm(s->net);
-  s->net.install_faults(report_fault_schedule());
-  s->ms[0]->power_on();
-  s->terminals[0]->register_endpoint();
-  std::size_t events = s->settle();
-  Msisdn term_alias = make_subscriber(88, 1000).msisdn;
-  Msisdn ms_number = make_subscriber(88, 1).msisdn;
-  for (std::uint32_t i = 0; i < opt.iters; ++i) {
-    events += s->net.run_until(
-        SimTime::from_micros((30 + 60 * static_cast<std::int64_t>(i)) *
-                             1'000'000));
-    s->ms[0]->dial(term_alias);
-    events += s->settle();
-    s->ms[0]->hangup();
-    events += s->settle();
-    s->terminals[0]->place_call(ms_number);
-    events += s->settle();
-    s->terminals[0]->hangup();
-    events += s->settle();
-  }
-  return finish_run(std::move(s), "tr23821", events, cap);
+  const std::size_t events = drive_fault_cycles(*s, opt.iters);
+  return finish_run(std::move(s), system, events, cap);
 }
 
 std::vector<RunResult> run_scenario(const Options& opt, CaptureWriter& cap) {
@@ -566,8 +494,8 @@ std::vector<RunResult> run_scenario(const Options& opt, CaptureWriter& cap) {
     return out;
   }
   if (opt.scenario == "faults") {
-    RunResult v = run_faults_vgprs(opt, cap);
-    RunResult t = run_faults_tr23821(opt, cap);
+    RunResult v = run_faults(opt, cap, build_vgprs, "vgprs");
+    RunResult t = run_faults(opt, cap, build_tr23821, "tr23821");
     std::vector<RunResult> out;
     out.push_back(std::move(v));
     out.push_back(std::move(t));
